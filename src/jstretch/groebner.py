@@ -1,15 +1,4 @@
-"""Normal forms, Buchberger's algorithm, elimination, exact division.
-
-The engine also supports degree-truncated runs: with ``degree_limit=N``
-every term of total degree >= N is treated as zero, which computes a
-Groebner basis of the input ideal plus the N-th power of the maximal
-ideal.  Truncation drops pairs whose lcm already has degree >= N; those
-are covered by explicitly enqueuing the boundary multiples v*g (deg(v) =
-N - deg(lm g)) of every inhomogeneous basis element, the only multiples
-whose leading term dies under truncation while lower terms survive.
-Homogeneous elements have no surviving boundary multiples, so truncated
-runs on graded input cost nothing extra.
-"""
+"""Normal forms, Buchberger's algorithm, elimination, exact division."""
 
 import heapq
 from collections import deque
@@ -22,31 +11,17 @@ from .poly import Polynomial
 DEFAULT_DEGREE_CAP = 40
 
 
-def monomials_of_degree(nvars, d):
-    """All exponent tuples over nvars variables of total degree d."""
-    if nvars == 1:
-        yield (d,)
-        return
-    for e in range(d + 1):
-        for rest in monomials_of_degree(nvars - 1, d - e):
-            yield (e,) + rest
-
-
-def normal_form(f, basis, degree_limit=None):
+def normal_form(f, basis):
     """Full remainder of f under multivariate division by basis.
 
     Deterministic: the highest remaining monomial is cancelled by the
-    first basis element whose leading monomial divides it.  With
-    degree_limit set, terms of degree >= the limit are dropped.
+    first basis element whose leading monomial divides it.
     """
     ring = f.ring
     reducers = [(g.lm, ring.field.inv(g.lc), g.terms) for g in basis if not g.is_zero]
-    if degree_limit is not None:
-        f = f.truncated(degree_limit)
     if f.is_zero or not reducers:
         return f
     p = ring.field.p
-    deg = ring.deg
     divides = ring.divides
     negkey = ring.negkey
     work = dict(f.mapping())
@@ -73,8 +48,6 @@ def normal_form(f, basis, degree_limit=None):
             t = shift + mg
             if t == m:
                 continue
-            if degree_limit is not None and deg(t) >= degree_limit:
-                continue
             v = (work.get(t, 0) - factor * cg) % p
             if v:
                 if t not in work:
@@ -93,7 +66,7 @@ def s_polynomial(f, g, lcm=None):
     return f.mono_multiple(lcm - f.lm, inv(f.lc)) - g.mono_multiple(lcm - g.lm, inv(g.lc))
 
 
-def _reduce_basis(basis, degree_limit=None):
+def _reduce_basis(basis):
     """Interreduce a basis whose S-pairs all reduce to zero: unique reduced GB."""
     ring = basis[0].ring
     polys = sorted((g.monic() for g in basis if not g.is_zero), key=lambda g: ring.key(g.lm))
@@ -104,27 +77,22 @@ def _reduce_basis(basis, degree_limit=None):
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(normal_form(g, others, degree_limit).monic())
+        reduced.append(normal_form(g, others).monic())
     return tuple(reduced)
 
 
-def buchberger(gens, degree_cap=DEFAULT_DEGREE_CAP, degree_limit=None):
+def buchberger(gens, degree_cap=DEFAULT_DEGREE_CAP):
     """The unique reduced Groebner basis of the input generators.
 
     Pair selection follows the normal strategy (minimal lcm degree,
     ties broken by the monomial order, then indices), with the coprime
     and chain criteria pruning the queue.  Raises DegreeBoundExceeded
-    when an intermediate element passes degree_cap (untruncated runs).
+    when an intermediate element passes degree_cap.
     """
-    gens = list(gens)
-    if not gens:
-        return ()
-    ring = gens[0].ring
-    if degree_limit is not None:
-        gens = [g.truncated(degree_limit) for g in gens]
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return ()
+    ring = gens[0].ring
 
     basis = []
     lms = []
@@ -133,7 +101,7 @@ def buchberger(gens, degree_cap=DEFAULT_DEGREE_CAP, degree_limit=None):
     candidates = deque(sorted(gens, key=lambda g: ring.key(g.lm)))
 
     def add_element(h):
-        if degree_limit is None and h.degree > degree_cap:
+        if h.degree > degree_cap:
             raise DegreeBoundExceeded(h.degree, degree_cap)
         h = h.monic()
         t = len(basis)
@@ -141,20 +109,12 @@ def buchberger(gens, degree_cap=DEFAULT_DEGREE_CAP, degree_limit=None):
         lms.append(h.lm)
         for i in range(t):
             lcm = ring.lcm(lms[i], h.lm)
-            if degree_limit is not None and ring.deg(lcm) >= degree_limit:
-                continue
             pending.add((i, t))
             heapq.heappush(heap, (ring.deg(lcm), ring.key(lcm), i, t))
-        if degree_limit is not None and not h.is_homogeneous:
-            gap = degree_limit - ring.deg(h.lm)
-            for exps in monomials_of_degree(ring.nvars, gap):
-                extra = h.mono_multiple(ring.encode(exps)).truncated(degree_limit)
-                if not extra.is_zero:
-                    candidates.append(extra)
 
     while candidates or heap:
         if candidates:
-            h = normal_form(candidates.popleft(), basis, degree_limit)
+            h = normal_form(candidates.popleft(), basis)
             if not h.is_zero:
                 add_element(h)
             continue
@@ -178,11 +138,11 @@ def buchberger(gens, degree_cap=DEFAULT_DEGREE_CAP, degree_limit=None):
                 break
         if chain:
             continue
-        s = normal_form(s_polynomial(basis[i], basis[j], lcm), basis, degree_limit)
+        s = normal_form(s_polynomial(basis[i], basis[j], lcm), basis)
         if not s.is_zero:
             add_element(s)
 
-    return _reduce_basis(basis, degree_limit)
+    return _reduce_basis(basis)
 
 
 def eliminate(gens, k, degree_cap=DEFAULT_DEGREE_CAP, target_ring=None):

@@ -16,9 +16,11 @@ lambda((A/B)_m).  The sequence is non-decreasing in N; two consecutive
 schedule values agreeing is the stabilization test, and running past the
 cap without agreement reports the length as INFINITE.
 
-Truncated colengths come from the degree-truncated Buchberger run (see
-the groebner module) followed by a staircase count of the standard
-monomials below the truncation degree.
+For homogeneous X the truncated colength needs no new Groebner basis:
+(X + m^N)_d = X_d for d < N, and in(X) has the same Hilbert function as
+X, so dim_k S/(X + m^N) is the staircase count of the leading monomials
+of the cached basis of X below N (the pivot recursion of Bayer and
+Stillman).  Inhomogeneous X adjoins x_i^N and runs Buchberger.
 """
 
 from dataclasses import dataclass
@@ -126,19 +128,21 @@ def _count(gens, bound, nvars):
 def truncated_colength(handle, bound, homogeneous=True):
     """dim_k of S modulo the handle plus an origin-primary truncation ideal.
 
-    Homogeneous data uses m^bound through the degree-truncated Buchberger
-    run (no extra work for graded input).  Inhomogeneous data instead
-    adjoins the pure powers x_i^bound, a smaller cofinal family with the
-    same stabilized differences, which avoids the combinatorial boundary
-    multiples that inhomogeneous truncation would enqueue.
+    Homogeneous data uses m^bound: the count is read off the leading
+    monomials of the cached basis, which is exact because the reduced
+    basis of a homogeneous ideal is homogeneous, so the standard
+    monomials of degree d span (S/X)_d.  Inhomogeneous data instead
+    adjoins the pure powers x_i^bound, a cofinal family with the same
+    stabilized differences, and runs Buchberger on them.
     """
     key = (handle.ambient, handle.gb, bound, homogeneous)
     got = _COLENGTH_CACHE.get(key)
     if got is None:
         ring = handle.ambient.ring
         if homogeneous:
-            gb = buchberger(handle.gb, degree_limit=bound)
-            got = count_standard_below([ring.decode(g.lm) for g in gb], bound, ring.nvars)
+            if not handle.is_homogeneous:
+                raise ValueError("homogeneous truncation of an inhomogeneous ideal")
+            got = count_standard_below([ring.decode(g.lm) for g in handle.gb], bound, ring.nvars)
         else:
             powers = [ring.variable(i) ** bound for i in range(ring.nvars)]
             gb = buchberger(list(handle.gb) + powers, degree_cap=10**6)
@@ -158,12 +162,12 @@ def quotient_length(big, small, cap=TRUNCATION_CAP, check=True):
     """
     if big.ambient != small.ambient:
         raise NotLocallyContained("ideals over different ambient rings")
+    if check and not big.contains_locally(small):
+        raise NotLocallyContained("quotient_length needs local containment")
     key = (big.ambient, big.gb, small.gb, cap)
     got = _LENGTH_CACHE.get(key)
     if got is not None:
         return got
-    if check and not big.contains_locally(small):
-        raise NotLocallyContained("quotient_length needs local containment")
     start = (
         max(
             big.max_generator_degree(),

@@ -241,11 +241,6 @@ class Polynomial:
     def constant_term(self):
         return self._d.get(0, 0)
 
-    def truncated(self, limit):
-        """Drop all terms of total degree >= limit."""
-        ring = self.ring
-        return Polynomial(ring, {m: c for m, c in self._d.items() if ring.deg(m) < limit})
-
     def monic(self):
         if self.is_zero:
             return self

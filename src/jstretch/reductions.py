@@ -53,7 +53,11 @@ class GeneralSampler:
 
 
 class ReductionData:
-    """A sampled general minimal reduction J of I with its residual data."""
+    """A sampled general minimal reduction J of I with its residual data.
+
+    The saturation sat = J_{d-1} : I^infinity is built on first use, so
+    callers that only read J never pay for it.
+    """
 
     def __init__(self, I, seed, lam, xs):
         ambient = I.ambient
@@ -66,7 +70,7 @@ class ReductionData:
         self.xs = xs
         self.J = IdealHandle(ambient, xs)
         self.Jd1 = IdealHandle(ambient, xs[: d - 1])
-        self.sat = self.Jd1.saturate(I)
+        self._sat = None
         self.xd = xs[-1] if xs else ambient.ring.zero()
         self._rbar = None
         self._ipow = {0: ambient.unit_ideal(), 1: I}
@@ -81,6 +85,12 @@ class ReductionData:
 
     # The residual quotient only exists when the spread is maximal, so all
     # Rbar-side data is built on first use rather than at sampling time.
+
+    @property
+    def sat(self):
+        if self._sat is None:
+            self._sat = self.Jd1.saturate(self.I)
+        return self._sat
 
     @property
     def Rbar(self):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import monomial_quotient_length, staircase_count
+from oracles import monomial_quotient_length, monomials_up_to, staircase_count
 
 from jstretch.errors import NotLocallyContained
 from jstretch.groebner import buchberger
@@ -13,8 +13,11 @@ from jstretch.lengths import (
     hilbert_function,
     is_m_primary,
     quotient_length,
+    truncated_colength,
 )
 from jstretch.poly import PolyRing
+from jstretch.reductions import GeneralSampler, sample_reduction
+from jstretch.registry import build_case
 
 
 @pytest.fixture
@@ -38,6 +41,13 @@ def test_plane_quotient_lengths(kxy):
 
 def test_precondition(kxy):
     x, y = kxy.ring.variables()
+    with pytest.raises(NotLocallyContained):
+        quotient_length(kxy.ideal(x), kxy.ideal(y))
+
+
+def test_unchecked_call_does_not_bypass_a_later_check(kxy):
+    x, y = kxy.ring.variables()
+    quotient_length(kxy.ideal(x), kxy.ideal(y), check=False)
     with pytest.raises(NotLocallyContained):
         quotient_length(kxy.ideal(x), kxy.ideal(y))
 
@@ -83,6 +93,49 @@ def test_staircase_counter_against_enumeration():
         gens = [tuple(rng.randint(0, 5) for _ in range(nvars)) for _ in range(rng.randint(0, 5))]
         bound = rng.randint(1, 8)
         assert count_standard_below(gens, bound, nvars) == staircase_count(gens, bound, nvars)
+
+
+def _explicit_colength(handle, bound):
+    """dim_k S/(X + H + m^bound): a fresh basis with every monomial of
+    degree bound adjoined, then its standard monomials below bound."""
+    ring = handle.ambient.ring
+    boundary = [
+        ring.from_exp_terms([(e, 1)]) for e in monomials_up_to(ring.nvars, bound) if sum(e) == bound
+    ]
+    gens = list(handle.generators) + list(handle.ambient.relations) + boundary
+    gb = buchberger(gens, degree_cap=10**6)
+    return staircase_count([ring.decode(g.lm) for g in gb], bound, ring.nvars)
+
+
+def _random_form(ring, rng, degree):
+    exps = [e for e in monomials_up_to(ring.nvars, degree) if sum(e) == degree]
+    terms = [(rng.choice(exps), rng.randrange(1, ring.field.p)) for _ in range(rng.randint(1, 4))]
+    return ring.from_exp_terms(terms)
+
+
+def test_graded_colength_matches_explicit_construction():
+    rng = random.Random(31)
+    for names in (("x", "y"), ("x", "y", "z")):
+        amb = AmbientRing(PolyRing(names))
+        for _ in range(8):
+            gens = [_random_form(amb.ring, rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+            X = amb.ideal([g for g in gens if not g.is_zero])
+            for bound in (5, 6, 8):
+                assert truncated_colength(X, bound) == _explicit_colength(X, bound)
+    for example, r in (("thickline", 3), ("rn2-mon-a", None), ("mixed-monomial-a", None), ("points-p2", None)):
+        case = build_case(example, r=r)
+        I = case.ideal
+        J = sample_reduction(I, GeneralSampler(1, case.ambient.ring.field)).J
+        for X in (I**2, J**2, J * I):
+            assert X.is_homogeneous
+            for bound in (6, 10, 14):
+                assert truncated_colength(X, bound) == _explicit_colength(X, bound)
+
+
+def test_graded_colength_rejects_inhomogeneous_ideal(kxy):
+    x, y = kxy.ring.variables()
+    with pytest.raises(ValueError):
+        truncated_colength(kxy.ideal(x**2 - y), 6)
 
 
 def test_quotient_length_against_monomial_oracle():
