@@ -188,6 +188,13 @@ def _witness_candidates(rd, extra_draws=25):
         yield (a, b)
 
 
+def _colength_and_h(rd):
+    """lambda(Rbar/Ibar) and the embedding codimension
+    h = lambda(Ibar/Ibar^2) - lambda(Rbar/Ibar)."""
+    lam_ri = int(quotient_length(rd.Rbar.unit_ideal(), rd.Ibar))
+    return lam_ri, int(quotient_length(rd.Ibar, rd.Ibarpow(2))) - lam_ri
+
+
 def properties_audit(rd):
     """Locate a spanning pair (a, b) for I^2/(JI + I^3) and verify the
     cyclic-structure statements it controls.
@@ -227,8 +234,7 @@ def properties_audit(rd):
     rhs = ambient.ideal(b) + rd.J.colon(ambient.ideal(a)).intersect(rd.I)
     items["d"] = rhs.locally_equal(rd.I)
     j = j_multiplicity(rd)
-    lam_ri = int(quotient_length(rd.Rbar.unit_ideal(), rd.Ibar))
-    h = int(quotient_length(rd.Ibar, rd.Ibarpow(2))) - lam_ri
+    lam_ri, h = _colength_and_h(rd)
     items["a"] = int(j) >= lam_ri + h + 1
     return AuditReport(witness=(a, b), items=items)
 
@@ -300,7 +306,11 @@ def sally_condition(rd, asserted=None):
 
 def almost_cm_check(rd, asserted=None):
     """Evaluates both sides of: I^{K+1} inside J I^{K-1} iff
-    lambda(I^K/J I^{K-1}) = 1, and reports whether they agreed."""
+    lambda(I^K/J I^{K-1}) = 1, and reports whether they agreed.
+
+    K is index_of_nilpotency, the containment index c_J (least n with
+    I^{n+1} inside J locally), not hilbert_K; whether c_J is the index
+    the theorem means is ROADMAP open item 7."""
     asserted = asserted or AssertedHypotheses()
     K = index_of_nilpotency(rd)
     if K < 1:
@@ -327,8 +337,7 @@ def type_and_codim(rd):
     type theory fail; that is reported, not raised.
     """
     tau = quotient_length(rd.J.colon(rd.I).intersect(rd.I), rd.J).value
-    lam_ri = int(quotient_length(rd.Rbar.unit_ideal(), rd.Ibar))
-    h = int(quotient_length(rd.Ibar, rd.Ibarpow(2))) - lam_ri
+    lam_ri, h = _colength_and_h(rd)
     applicable = tau < h + 1 - lam_ri
     nu2_matches = None
     vv3 = None

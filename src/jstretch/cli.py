@@ -60,8 +60,7 @@ def build_parser():
 
 
 def _load_session(path, args):
-    config = SessionConfig(char=args.char, seed=args.seed, trials=args.trials,
-                           json_output=args.json)
+    config = SessionConfig(char=args.char, seed=args.seed, trials=args.trials)
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     return parse_session(text, config)

@@ -16,6 +16,7 @@ from .groebner import buchberger, dimension_from_leading_terms, eliminate
 from .ideals import AmbientRing
 from .poly import PolyRing
 from .reductions import GeneralSampler
+from .report import mode
 
 
 def _fiber_names(ring, count):
@@ -30,13 +31,6 @@ def _fiber_names(ring, count):
     return tuple(names)
 
 
-def _embed(big_ring, poly, shift_vars=0):
-    """View a polynomial inside big_ring, which extends the original ring by
-    shift_vars new leading variables (and possibly trailing ones)."""
-    shift = 8 * shift_vars
-    return big_ring.from_dict({m << shift: c for m, c in poly.mapping().items()})
-
-
 def rees_ideal(I):
     """Defining ideal of the Rees algebra in S[T]: eliminate t from
     H S[t,T] + (T_i - t a_i); returns (generators, S[T] ring)."""
@@ -47,10 +41,10 @@ def rees_ideal(I):
     work = st_ring.extended_front(("_t",))
     t = work.variable(0)
     n = ring.nvars
-    lifted = [_embed(work, rel, 1) for rel in ambient.relations]
+    lifted = [work.lift_front(rel, 1) for rel in ambient.relations]
     for i, a in enumerate(I.generators):
         Ti = work.variable(1 + n + i)
-        lifted.append(Ti - t * _embed(work, a, 1))
+        lifted.append(Ti - t * work.lift_front(a, 1))
     gens = eliminate(lifted, 1, ambient.gb_cap, target_ring=st_ring)
     return gens, st_ring
 
@@ -96,7 +90,7 @@ def analytic_spread(I):
 def gr_presentation(I):
     """Defining ideal of gr_I(R) = (rees ideal) + I S[T], as a quotient of S[T]."""
     gens, st_ring = rees_ideal(I)
-    lifted_I = [_embed(st_ring, g) for g in I.generators]
+    lifted_I = [st_ring.lift_front(g, 0) for g in I.generators]
     ambient = AmbientRing(st_ring, ())
     handle = ambient.ideal(tuple(gens) + tuple(lifted_I))
     pres = GradedPresentation(ring=st_ring, defining=handle.gb, base_vars=I.ambient.ring.nvars)
@@ -118,14 +112,7 @@ def graded_depth(pres, seed=1, draws=5, votes=3):
     for g in pres.defining:
         if not g.is_homogeneous:
             raise NotHomogeneous("graded depth needs a totally homogeneous defining ideal")
-    results = [_depth_once(pres, seed + k, draws) for k in range(votes)]
-    best = None
-    best_count = -1
-    for v in results:
-        c = results.count(v)
-        if c > best_count:
-            best, best_count = v, c
-    return best
+    return mode([_depth_once(pres, seed + k, draws) for k in range(votes)])[0]
 
 
 def _depth_once(pres, seed, draws):

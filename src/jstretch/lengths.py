@@ -152,19 +152,19 @@ def truncated_colength(handle, bound, homogeneous=True):
     return got
 
 
-def quotient_length(big, small, cap=TRUNCATION_CAP, check=True):
+def quotient_length(big, small, check=True):
     """lambda((big/small)_m) for ideals small <= big locally at the origin.
 
     Truncation exponents run N0, N0+4, ... with N0 six above the largest
     generator degree; agreement of two consecutive values is the
-    stabilization test.  INFINITE (no stabilization by the cap) is a
+    stabilization test.  INFINITE (no stabilization by TRUNCATION_CAP) is a
     legitimate result, not an error.
     """
     if big.ambient != small.ambient:
         raise NotLocallyContained("ideals over different ambient rings")
     if check and not big.contains_locally(small):
         raise NotLocallyContained("quotient_length needs local containment")
-    key = (big.ambient, big.gb, small.gb, cap)
+    key = (big.ambient, big.gb, small.gb)
     got = _LENGTH_CACHE.get(key)
     if got is not None:
         return got
@@ -180,7 +180,7 @@ def quotient_length(big, small, cap=TRUNCATION_CAP, check=True):
     prev = None
     prev_n = None
     n = start
-    while n <= cap:
+    while n <= TRUNCATION_CAP:
         val = truncated_colength(small, n, homogeneous) - truncated_colength(big, n, homogeneous)
         if val == prev:
             got = LocalLength(val, prev_n)

@@ -166,7 +166,8 @@ class PolyRing:
         return Polynomial(self, dict(poly.mapping()))
 
     def lift_front(self, poly, k):
-        """View a polynomial in this ring, which has k extra leading variables."""
+        """View a polynomial in this ring, which has k extra leading variables
+        (and possibly extra trailing ones)."""
         shift = _SHIFT * k
         return Polynomial(self, {m << shift: c for m, c in poly.mapping().items()})
 

@@ -44,12 +44,16 @@ class GeneralSampler:
                 return row
 
     def combination(self, polys):
-        """A random linear combination of the given polynomials."""
-        row = self.row(len(polys))
-        result = polys[0].ring.zero()
-        for c, g in zip(row, polys):
-            result = result + c * g
-        return result
+        """A random linear combination of the given (nonempty) polynomials."""
+        return _combine(polys[0].ring, self.row(len(polys)), polys)
+
+
+def _combine(ring, row, polys):
+    """sum c*g over the row; the ring is explicit since polys may be empty."""
+    result = ring.zero()
+    for c, g in zip(row, polys):
+        result = result + c * g
+    return result
 
 
 class ReductionData:
@@ -150,13 +154,8 @@ def sample_reduction(I, sampler):
         raise ValueError("ambient ring must have positive dimension")
     gens = I.generators
     lam = tuple(sampler.row(len(gens)) for _ in range(d))
-    xs = []
-    for row in lam:
-        x = ambient.ring.zero()
-        for c, g in zip(row, gens):
-            x = x + c * g
-        xs.append(x)
-    return ReductionData(I, sampler.seed, lam, tuple(xs))
+    xs = tuple(_combine(ambient.ring, row, gens) for row in lam)
+    return ReductionData(I, sampler.seed, lam, xs)
 
 
 def max_spread_check(rd):
@@ -169,22 +168,25 @@ def _require_spread(rd):
         raise ValueError("operation needs maximal analytic spread (Rbar nonzero)")
 
 
+def containment_search(target, Ipow, what, cap=SEARCH_CAP):
+    """Least n <= cap with Ipow(n + 1) = I^{n+1} inside target(n) locally
+    at the origin: target(n) = J I^n gives r_J, target(n) = J gives s_J."""
+    for n in range(cap + 1):
+        if target(n).contains_locally(Ipow(n + 1)):
+            return n
+    raise CapExceeded(f"no {what} found up to {cap}")
+
+
 def reduction_number(rd, cap=SEARCH_CAP):
     """Least r with I^{r+1} = J I^r locally at the origin."""
     _require_spread(rd)
-    for r in range(cap + 1):
-        if rd.JIpow(r).contains_locally(rd.Ipow(r + 1)):
-            return r
-    raise CapExceeded(f"no reduction number found up to {cap}")
+    return containment_search(rd.JIpow, rd.Ipow, "reduction number", cap)
 
 
 def index_of_nilpotency(rd, cap=SEARCH_CAP):
     """Least n with I^{n+1} contained in J locally at the origin."""
     _require_spread(rd)
-    for n in range(cap + 1):
-        if rd.J.contains_locally(rd.Ipow(n + 1)):
-            return n
-    raise CapExceeded(f"no nilpotency index found up to {cap}")
+    return containment_search(lambda n: rd.J, rd.Ipow, "nilpotency index", cap)
 
 
 class JMultiplicity(int):

@@ -43,16 +43,16 @@ def registry_ids():
     return tuple(sorted(_BUILDERS))
 
 
-def build_case(example_id, r=None, t=None, char=32003, gb_cap=40):
+def build_case(example_id, r=None, t=None, char=32003):
     builder = _BUILDERS.get(example_id)
     if builder is None:
         raise UnknownExample(f"unknown example {example_id!r}; known: {', '.join(registry_ids())}")
-    return builder(r, t, PrimeField(char), gb_cap)
+    return builder(r, t, PrimeField(char))
 
 
-def run_registry(example_id, r=None, t=None, seed=1, trials=5, char=32003, gb_cap=40):
+def run_registry(example_id, r=None, t=None, seed=1, trials=5, char=32003):
     """Build, analyze, and diff an example against its golden record."""
-    case = build_case(example_id, r, t, char, gb_cap)
+    case = build_case(example_id, r, t, char)
     report = analyze(case.ideal, asserted=case.asserted, seed=seed, trials=trials)
     diffs = []
     for path, expected in case.golden.items():
@@ -72,11 +72,11 @@ def _ring3(field, names=("x", "y", "z")):
     return PolyRing(names, field)
 
 
-def _thickline(r, t, field, cap):
+def _thickline(r, t, field):
     r = 3 if r is None else r
     ring = _ring3(field)
     x, y, z = ring.variables()
-    ambient = AmbientRing(ring, (x ** (r + 1), x * z, y * z), cap)
+    ambient = AmbientRing(ring, (x ** (r + 1), x * z, y * z))
     I = ambient.ideal(x, y)
     golden = {
         "d": 1,
@@ -105,15 +105,15 @@ def _thickline(r, t, field, cap):
     )
 
 
-def _noncm_curve(r, t, field, cap):
+def _noncm_curve(r, t, field):
     r = 2 if r is None else r
     ring = _ring3(field)
     x, y, z = ring.variables()
-    plain = AmbientRing(ring, (), cap)
+    plain = AmbientRing(ring)
     part_a = plain.ideal(x**r - y * z, y**r - x * z, x * y * z)
     part_b = plain.ideal(x ** (r + 1) - y ** (r + 1), z)
     relations = part_a.intersect(part_b).gb
-    ambient = AmbientRing(ring, relations, cap)
+    ambient = AmbientRing(ring, relations)
     I = ambient.ideal(x, y)
     golden = {
         "d": 1,
@@ -136,9 +136,9 @@ def _noncm_curve(r, t, field, cap):
 
 
 def _mixed_monomial(gens_builder, case_id):
-    def build(r, t, field, cap):
+    def build(r, t, field):
         ring = PolyRing(("a", "b", "c"), field)
-        ambient = AmbientRing(ring, (), cap)
+        ambient = AmbientRing(ring)
         I = ambient.ideal(gens_builder(ring))
         golden = {
             "d": 3,
@@ -173,10 +173,10 @@ def _mm_b(ring):
     return (a**3, a**2 * b, b**2 * c, a * c**2)
 
 
-def _quartic_monomial(r, t, field, cap):
+def _quartic_monomial(r, t, field):
     ring = PolyRing(("a", "b", "c"), field)
     a, b, c = ring.variables()
-    ambient = AmbientRing(ring, (), cap)
+    ambient = AmbientRing(ring)
     I = ambient.ideal(a**2 * b**2, a**2 * c**2, a * b * c**2, b**2 * c**2, a**2 * b * c)
     golden = {
         "d": 3,
@@ -217,9 +217,9 @@ def _generic_points(ambient, npoints, field):
     return result
 
 
-def _points_p2(r, t, field, cap):
+def _points_p2(r, t, field):
     ring = PolyRing(("a", "b", "c"), field)
-    ambient = AmbientRing(ring, (), cap)
+    ambient = AmbientRing(ring)
     I = ambient.ideal(_generic_points(ambient, 6, field).gb)
     golden = {"d": 3, "ell_is_d": True, "r_J": 2, "s_J": 1, "hilbert_K": 2,
               "flags.j_stretched": True}
@@ -229,9 +229,9 @@ def _points_p2(r, t, field, cap):
     )
 
 
-def _points_p3(r, t, field, cap):
+def _points_p3(r, t, field):
     ring = PolyRing(("a", "b", "c", "d"), field)
-    ambient = AmbientRing(ring, (), cap)
+    ambient = AmbientRing(ring)
     n = 5 if t is None else t
     I = ambient.ideal(_generic_points(ambient, n, field).gb)
     golden = {"d": 4, "ell_is_d": True, "r_J": 2, "s_J": 1, "hilbert_K": 2,
@@ -243,9 +243,9 @@ def _points_p3(r, t, field, cap):
 
 
 def _rn2_monomial(gens_builder, case_id, names=("a", "b", "c", "d")):
-    def build(r, t, field, cap):
+    def build(r, t, field):
         ring = PolyRing(names, field)
-        ambient = AmbientRing(ring, (), cap)
+        ambient = AmbientRing(ring)
         I = ambient.ideal(gens_builder(ring))
         golden = {
             "d": len(names),
@@ -283,11 +283,11 @@ def _rn2_wide(ring):
     return (a**2, b**2, c**2, a * b, b * c, c * d, d * e)
 
 
-def _non_g2(r, t, field, cap):
+def _non_g2(r, t, field):
     t = 0 if t is None else t
     ring = _ring3(field)
     x, y, z = ring.variables()
-    ambient = AmbientRing(ring, (x**3 - x**2 * y,), cap)
+    ambient = AmbientRing(ring, (x**3 - x**2 * y,))
     I = ambient.ideal(x * y**t if t else x, z)
     golden = {
         "d": 2,
@@ -306,10 +306,10 @@ def _non_g2(r, t, field, cap):
     )
 
 
-def _semigroup(r, t, field, cap):
+def _semigroup(r, t, field):
     ring = PolyRing(("a", "b", "c"), field)
     a, b, c = ring.variables()
-    ambient = AmbientRing(ring, (b**2 - a * c, c**2 - a**2 * b, a**3 - b * c), cap)
+    ambient = AmbientRing(ring, (b**2 - a * c, c**2 - a**2 * b, a**3 - b * c))
     I = ambient.ideal(a, b)
     golden = {
         "d": 1,

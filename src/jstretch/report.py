@@ -7,7 +7,7 @@ never silently reported.  Reports serialize to JSON and back losslessly.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from dataclasses import fields as dataclass_fields
 
 from .analysis import (
@@ -28,8 +28,10 @@ from .analysis import (
     type_and_codim,
 )
 from .errors import ComputationError
-from .lengths import INFINITE, is_m_primary
+from .groebner import DEFAULT_DEGREE_CAP
+from .lengths import INFINITE, TRUNCATION_CAP, is_m_primary
 from .reductions import (
+    SEARCH_CAP,
     GeneralSampler,
     index_of_nilpotency,
     j_multiplicity,
@@ -41,9 +43,11 @@ from .reductions import (
 
 @dataclass(frozen=True)
 class Caps:
-    gb_degree: int = 40
-    truncation: int = 60
-    search: int = 20
+    """The caps an analysis ran under; only gb_degree is configurable."""
+
+    gb_degree: int = DEFAULT_DEGREE_CAP
+    truncation: int = TRUNCATION_CAP
+    search: int = SEARCH_CAP
 
 
 @dataclass(frozen=True)
@@ -103,14 +107,7 @@ def _single_trial(I, trial_seed, asserted):
     stretched = None
     if is_m_primary(I):
         stretched = stretched_test(rd).value
-    base_flags = classify(rd)
-    out["flags"] = Flags(
-        j_stretched=base_flags.j_stretched,
-        minimal_j=base_flags.minimal_j,
-        almost_minimal_j=base_flags.almost_minimal_j,
-        almost_almost_minimal_j=base_flags.almost_almost_minimal_j,
-        stretched=stretched,
-    )
+    out["flags"] = replace(classify(rd), stretched=stretched)
     if stretched_flag:
         out["predicted_cm"] = cm_prediction(rd, asserted)
         out["sally_p"] = sally_condition(rd, asserted)
@@ -119,8 +116,9 @@ def _single_trial(I, trial_seed, asserted):
     return out
 
 
-def _mode(values):
-    """Most frequent value under equality; earliest trial wins ties."""
+def mode(values):
+    """(most frequent value under ==, its count); the earliest value wins
+    ties.  The one majority vote of the toolkit; values need not hash."""
     best = None
     best_count = -1
     for v in values:
@@ -154,7 +152,7 @@ def analyze(I, asserted=None, seed=1, trials=5):
     dissent = {}
     for key in keys:
         values = [snap.get(key) for snap in snapshots]
-        winner, count = _mode(values)
+        winner, count = mode(values)
         voted[key] = winner
         if count < len(values):
             dissent[key] = len(values) - count
@@ -172,11 +170,17 @@ def analyze(I, asserted=None, seed=1, trials=5):
 # -- serialization ----------------------------------------------------------
 
 
+_KINDS = {
+    cls.__name__: cls
+    for cls in (CmPrediction, AlmostCmCheck, SallyCondition, SmallTypeCheck,
+                Flags, AssertedHypotheses, Provenance, Caps)
+}
+
+
 def _freeze(value):
     if value == INFINITE:
         return "INFINITE"
-    if isinstance(value, (CmPrediction, AlmostCmCheck, SallyCondition, SmallTypeCheck,
-                          Flags, AssertedHypotheses, Provenance, Caps)):
+    if isinstance(value, tuple(_KINDS.values())):
         body = {f.name: _freeze(getattr(value, f.name)) for f in dataclass_fields(value)}
         return {"__kind__": type(value).__name__, **body}
     if isinstance(value, dict):
@@ -186,24 +190,16 @@ def _freeze(value):
     return value
 
 
-_KINDS = {
-    cls.__name__: cls
-    for cls in (CmPrediction, AlmostCmCheck, SallyCondition, SmallTypeCheck,
-                Flags, AssertedHypotheses, Provenance, Caps)
-}
-
-
-def _thaw(value, key=None):
+def _thaw(value):
+    """Inverse of _freeze; reads the input without changing it."""
     if value == "INFINITE":
         return INFINITE
     if isinstance(value, dict):
-        kind = value.pop("__kind__", None)
-        thawed = {k: _thaw(v, k) for k, v in value.items()}
-        if kind is not None:
-            return _KINDS[kind](**thawed)
-        return thawed
+        thawed = {k: _thaw(v) for k, v in value.items() if k != "__kind__"}
+        kind = value.get("__kind__")
+        return thawed if kind is None else _KINDS[kind](**thawed)
     if isinstance(value, list):
-        return tuple(_thaw(v, key) for v in value)
+        return tuple(_thaw(v) for v in value)
     return value
 
 
@@ -216,10 +212,7 @@ def report_to_json(report, indent=2):
 
 
 def report_from_dict(data):
-    kwargs = {}
-    for key, value in data.items():
-        kwargs[key] = _thaw(value, key)
-    return AnalysisReport(**kwargs)
+    return AnalysisReport(**{key: _thaw(value) for key, value in data.items()})
 
 
 def report_from_json(text):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from .analysis import AssertedHypotheses
 from .errors import NonPrimeChar, SessionSyntaxError
 from .field import PrimeField, is_prime
+from .groebner import DEFAULT_DEGREE_CAP
 from .ideals import AmbientRing
 from .orders import grevlex, lex
 from .parsing import Token, TokenStream, parse_generator_list, tokenize
@@ -28,17 +29,13 @@ class SessionConfig:
     char: int = 32003
     seed: int = 1
     trials: int = 5
-    gb_degree_cap: int = 40
-    truncation_cap: int = 60
-    search_cap: int = 20
-    json_output: bool = False
+    gb_degree_cap: int = DEFAULT_DEGREE_CAP
 
     def __post_init__(self):
         if not is_prime(self.char):
             raise NonPrimeChar(f"characteristic {self.char} is not prime")
-        for cap in (self.gb_degree_cap, self.truncation_cap, self.search_cap):
-            if cap <= 0:
-                raise ValueError("caps must be positive")
+        if self.gb_degree_cap <= 0:
+            raise ValueError("the degree cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,6 @@ class Session:
     config: SessionConfig
     ambients: dict = field(default_factory=dict)
     ideals: dict = field(default_factory=dict)
-    ideal_ring: dict = field(default_factory=dict)
     asserted: dict = field(default_factory=dict)
     commands: list = field(default_factory=list)
 
@@ -196,7 +192,6 @@ def _parse_ideal(stream, decls, session, config):
     session.ambients[ring_tok.text] = ambient
     gens = parse_generator_list(ambient.ring, stream)
     session.ideals[name_tok.text] = ambient.ideal(gens)
-    session.ideal_ring[name_tok.text] = ring_tok.text
 
 
 def _ideal_name(stream, session):

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, ComputationError, NotAReduction
 from .lengths import quotient_length
-from .reductions import GeneralSampler, SEARCH_CAP, sample_reduction
+from .reductions import SEARCH_CAP, GeneralSampler, containment_search, sample_reduction
+from .report import mode
 
 QUANTITIES = ("In/Jn", "In/JIn-1+In+1", "I2/JI", "JcapI2/JI", "tau", "sJ")
 
 
-def evaluate_quantity(quantity, I, J, n=2, cap=SEARCH_CAP):
+def evaluate_quantity(quantity, I, J, n=2):
     """Evaluate one tracked quantity for the pair (I, J); J may be any
     d-generated reduction-like ideal, sampled or user-fixed."""
     if quantity == "In/Jn":
@@ -32,10 +33,7 @@ def evaluate_quantity(quantity, I, J, n=2, cap=SEARCH_CAP):
     if quantity == "tau":
         return quotient_length(J.colon(I).intersect(I), J, check=False).value
     if quantity == "sJ":
-        for k in range(cap + 1):
-            if J.contains_locally(I ** (k + 1)):
-                return k
-        raise CapExceeded(f"no nilpotency index up to {cap}")
+        return containment_search(lambda k: J, lambda k: I**k, "nilpotency index")
     raise ValueError(f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
 
 
@@ -75,27 +73,26 @@ def stability_trials(I, quantity, trials=20, seeds=None, n=2):
             errors.append((seed, str(exc)))
     if not values:
         raise CapExceeded(f"all {trials} trials failed for {quantity}")
-    modal = max(set(values), key=values.count)
+    modal, count = mode(values)
     return TrialReport(
         quantity=quantity,
         n=n,
         values=tuple(values),
         modal=modal,
-        stability=values.count(modal) / len(seeds),
+        stability=count / len(seeds),
         errors=tuple(errors),
     )
 
 
-def _check_reduction(I, H, cap=SEARCH_CAP):
-    ambient = I.ambient
-    if len(H.generators) != ambient.dimension:
+def _check_reduction(I, H):
+    if len(H.generators) != I.ambient.dimension:
         raise NotAReduction("fixed reduction must have exactly d generators")
     if not I.contains(H):
         raise NotAReduction("fixed reduction must sit inside the ideal")
-    for r in range(cap + 1):
-        if (H * I**r).contains_locally(I ** (r + 1)):
-            return r
-    raise NotAReduction(f"no r <= {cap} with I^(r+1) inside H I^r locally")
+    try:
+        return containment_search(lambda r: H * I**r, lambda r: I**r, "reduction number")
+    except CapExceeded as exc:
+        raise NotAReduction(f"no r <= {SEARCH_CAP} with I^(r+1) inside H I^r locally") from exc
 
 
 def fixed_vs_general(I, H, quantity, trials=5, seeds=None, n=2):

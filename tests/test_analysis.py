@@ -20,7 +20,16 @@ from jstretch.ideals import AmbientRing
 from jstretch.poly import PolyRing
 from jstretch.reductions import GeneralSampler, sample_reduction
 from jstretch.registry import build_case
-from jstretch.report import analyze, render_human, report_from_json, report_to_json
+from jstretch.report import (
+    Provenance,
+    analyze,
+    mode,
+    render_human,
+    report_from_dict,
+    report_from_json,
+    report_to_dict,
+    report_to_json,
+)
 
 
 def make_rd(case_id, seed=1, **kw):
@@ -211,9 +220,23 @@ def test_analyze_majority_and_roundtrip():
     assert report.provenance.trials == 3
     again = report_from_json(report_to_json(report))
     assert again == report
+    # thawing leaves its input alone, so the same dict thaws twice
+    data = report_to_dict(report)
+    assert report_from_dict(data) == report
+    assert report_from_dict(data) == report
+    assert isinstance(report_from_dict(data).provenance, Provenance)
     text = render_human(report)
     for token in ("r_J = 2", "s_J = 2", "j_mult = 3"):
         assert token in text
+
+
+def test_mode_earliest_value_wins_ties():
+    assert mode([1, 2, 2, 1]) == (1, 2)
+    assert mode([3, 1, 1]) == (1, 2)
+    assert mode(["b", "a"]) == ("b", 1)
+    # unhashable values are compared, never hashed
+    assert mode([[1], [2], [2]]) == ([2], 2)
+    assert mode([{"a": 1}, {"b": 2}, {"a": 1}]) == ({"a": 1}, 2)
 
 
 def test_assert_hypotheses_missing_list():

@@ -85,6 +85,11 @@ def test_contains_locally(kxyz):
     assert kxyz.ideal(x).contains_locally(kxyz.ideal(x * (1 + x)))
     assert not kxyz.ideal(x).contains_locally(kxyz.ideal(y))
     assert kxyz.ideal(x).contains_locally(kxyz.ideal(x**2))
+    # inhomogeneous pairs, decided by the element-colon unit test: locally
+    # (x(1+y)) = (x) misses y(1+x), and (x(x-1)) = (x) as x - 1 is a unit
+    assert not kxyz.ideal(x * (1 + y)).contains_locally(kxyz.ideal(y * (1 + x)))
+    assert not kxyz.ideal(x * (x - 1)).contains(kxyz.ideal(x))
+    assert kxyz.ideal(x * (x - 1)).contains_locally(kxyz.ideal(x))
 
 
 def test_global_containment_implies_local(kxyz):

@@ -1,6 +1,8 @@
 import pytest
 
+from jstretch import lengths, reductions
 from jstretch.errors import NonPrimeChar, SessionSyntaxError, UnknownVariable
+from jstretch.report import analyze
 from jstretch.session import SessionConfig, parse_session
 
 SCRIPT = """
@@ -87,3 +89,13 @@ def test_polynomials_parse_with_free_whitespace():
 def test_lex_order_option():
     session = parse_session("ring R vars x,y order lex\nideal I in R (x)\n")
     assert str(session.ambients["R"].ring.order) == "lex"
+
+
+def test_report_caps_are_the_caps_that_ran():
+    session = parse_session(SCRIPT, SessionConfig(gb_degree_cap=25))
+    caps = analyze(session.ideals["I"], trials=1).provenance.caps
+    assert caps.gb_degree == 25
+    assert caps.truncation == lengths.TRUNCATION_CAP
+    assert caps.search == reductions.SEARCH_CAP
+    with pytest.raises(ValueError):
+        SessionConfig(gb_degree_cap=0)

@@ -38,8 +38,9 @@ def test_graded_colength_runs_no_buchberger(monkeypatch):
 def test_stability_trials_never_saturate(monkeypatch):
     case = build_case("thickline", r=3)
     calls = _count_calls(monkeypatch, (IdealHandle,), "saturate")
-    rep = stability_trials(case.ideal, "In/Jn", trials=3)
-    assert len(rep.values) == 3
+    for quantity in ("In/Jn", "sJ"):
+        rep = stability_trials(case.ideal, quantity, trials=3)
+        assert len(rep.values) == 3
     assert calls == []
 
 
