@@ -14,19 +14,11 @@ are never computed here -- deciding them needs prime-by-prime localization
 the user's assertions, and the unasserted hypotheses are listed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotMPrimary, WitnessNotFound
-from .ideals import IdealHandle
-from .lengths import INFINITE, is_m_primary, quotient_length
-from .reductions import (
-    GeneralSampler,
-    index_of_nilpotency,
-    j_multiplicity,
-    max_spread_check,
-    reduction_number,
-    sample_reduction,
-)
+from .lengths import is_m_primary, quotient_length
+from .reductions import GeneralSampler, index_of_nilpotency, j_multiplicity, reduction_number
 
 ASSERTED = "ASSERTED"
 CONDITIONAL = "CONDITIONAL"

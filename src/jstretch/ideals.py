@@ -108,7 +108,7 @@ class IdealHandle:
     def gb(self):
         """The reduced Groebner basis of (generators) + H; canonical."""
         if self._gb is None:
-            key = (self.ambient, frozenset(self.generators))
+            key = (self.ambient, self.ambient.gb_cap, frozenset(self.generators))
             got = _GB_CACHE.get(key)
             if got is None:
                 got = buchberger(
@@ -139,7 +139,7 @@ class IdealHandle:
             raise AmbientMismatch("ideals over different ambient rings")
 
     def _memo(self, op, other_key):
-        return (op, self.ambient, self.gb, other_key)
+        return (op, self.ambient, self.ambient.gb_cap, self.gb, other_key)
 
     # -- basic algebra ---------------------------------------------------
 

@@ -1,11 +1,13 @@
 """General minimal reductions and the invariants built from them.
 
 A reduction datum fixes, once per analysis, a matrix of uniformly random
-coefficients over the prime field: the resulting elements x_1, ..., x_d
-stand in for general elements of I, the ideal J they generate for a
-general minimal reduction, and R/(J_{d-1} : I^infinity) for the
-one-dimensional residual quotient in which I becomes primary to the
-maximal ideal.  Every downstream invariant (reduction number, index of
+coefficients over the prime field, each row combining a minimal
+generating set of I (a general element matters only modulo m*I, so
+redundant generators are left out): the resulting
+elements x_1, ..., x_d stand in for general elements of I, the ideal J
+they generate for a general minimal reduction, and R/(J_{d-1} : I^infinity)
+for the one-dimensional residual quotient in which I becomes primary to
+the maximal ideal.  Every downstream invariant (reduction number, index of
 nilpotency, j-multiplicity, the nu-sequence, ...) refers to the same
 fixed datum; re-randomizing between operations would silently compare
 different reductions.  Randomness over F_p approximates membership in a
@@ -146,13 +148,39 @@ class ReductionData:
         return got
 
 
+def essential_generators(I):
+    """The generators of I, in their listed order, less each one that lies
+    in (the kept generators of strictly lower degree) + H; those of least
+    degree are always kept.
+
+    The generators are walked in stable degree order, and one is dropped
+    only on a normal-form certificate of membership, so the kept ones
+    still generate I + H.  For homogeneous I and H a dropped generator
+    has cofactors of positive degree, so it lies in m*I + H: the kept
+    list is a minimal generating set whenever the listed generators of
+    each degree are linearly independent modulo the lower ones.
+    """
+    gens = I.generators
+    dropped = set()
+    for g in sorted(gens, key=lambda g: g.degree):
+        lower = [h for h in gens if h.degree < g.degree and h not in dropped]
+        if lower and IdealHandle(I.ambient, lower).contains(g):
+            dropped.add(g)
+    return tuple(g for g in gens if g not in dropped)
+
+
 def sample_reduction(I, sampler):
-    """Sample d general elements of I and assemble the reduction datum."""
+    """Sample d general elements of I and assemble the reduction datum.
+
+    Each element combines a minimal generating set of I
+    (`essential_generators`); I itself, its powers and the residual data
+    keep the caller's generators.
+    """
     ambient = I.ambient
     d = ambient.dimension
     if d < 1:
         raise ValueError("ambient ring must have positive dimension")
-    gens = I.generators
+    gens = essential_generators(I)
     lam = tuple(sampler.row(len(gens)) for _ in range(d))
     xs = tuple(_combine(ambient.ring, row, gens) for row in lam)
     return ReductionData(I, sampler.seed, lam, xs)

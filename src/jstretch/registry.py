@@ -8,7 +8,7 @@ together with any deviations from the golden record.
 
 from dataclasses import dataclass
 
-from .analysis import AssertedHypotheses, stretched_test
+from .analysis import AssertedHypotheses
 from .errors import UnknownExample
 from .fibercone import analytic_spread, gr_presentation, graded_depth
 from .field import PrimeField

@@ -17,8 +17,9 @@ an ideal is asserted as stated, next to the certified value of c_J.
 
 - Criterion 6: r_J = 2 and s_J = 2 as stated, and K = 2, on all six cases
   (none is m-primary).  The sub-checks `s_J = 2` fail: c_J = 1, certified
-  by I^2 inside J, found by `graded_membership_oracle` (homogeneous J) or
-  by `local_membership_oracle` (points-p3, whose J is inhomogeneous),
+  by I^2 inside J, found by `graded_membership_oracle` (homogeneous J, as
+  on all six: points-p3 lists a redundant cubic, but J is drawn over its
+  five quadrics) or by `local_membership_oracle` (inhomogeneous J),
   together with I not inside J, which holds because mu(I) > d
   (`initial_rank`).  They stay failing until the paper's definition of
   s_J for such ideals is known.
@@ -74,7 +75,7 @@ from jstretch.speclab import QUANTITIES, fixed_vs_general, stability_trials
 SEED = 1
 TRIALS = 5
 # cofactor degree at which local_membership_oracle certifies I^2 inside J
-# for the inhomogeneous reductions (points-p3 needs 3)
+# for an inhomogeneous reduction (semigroup-345 needs 2)
 LOCAL_COFACTOR_DEGREE = 3
 
 
@@ -114,7 +115,8 @@ def square_inside_J(case, rd):
     I is generated by its lowest-degree generators once the others lie in
     their span (points-p3 lists a redundant cubic), so I^2 is generated by
     their pairwise products.  When J + H has homogeneous generators, graded
-    membership decides it (and global membership implies local).
+    membership decides it (and global membership implies local); this is
+    the case for points-p3 too, whose J combines the quadrics only.
     Otherwise each product g is shown to lie in J + H + m*g, which puts it
     in J at the origin.
     """

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import monomial_intersection
 
-from jstretch.errors import AmbientMismatch, NotContainedInMaximal
+from jstretch.errors import AmbientMismatch, DegreeBoundExceeded, NotContainedInMaximal
 from jstretch.ideals import AmbientRing
 from jstretch.poly import PolyRing
 
@@ -126,6 +126,19 @@ def test_handle_equality_is_canonical(kxyz):
     B = kxyz.ideal(y, x)
     assert A == B
     assert A != kxyz.ideal(x)
+
+
+def test_degree_cap_honoured_after_uncapped_computation():
+    # the cached basis is keyed by the cap too, so a basis computed under
+    # the default cap is not handed to a ring with a lower one
+    ring = PolyRing(("x", "y"))
+    x, y = ring.variables()
+    capped = AmbientRing(ring, (), 2)
+    with pytest.raises(DegreeBoundExceeded):
+        capped.ideal(x**3 - y, y**3 - x).gb
+    assert AmbientRing(ring).ideal(x**3 - y, y**3 - x).gb
+    with pytest.raises(DegreeBoundExceeded):
+        capped.ideal(x**3 - y, y**3 - x).gb
 
 
 def test_ambient_mismatch(kxyz):

@@ -1,16 +1,30 @@
 import pytest
 
+from oracles import membership_oracle
+
 from jstretch.errors import CapExceeded
 from jstretch.ideals import AmbientRing
 from jstretch.lengths import quotient_length
 from jstretch.poly import PolyRing
 from jstretch.reductions import (
     GeneralSampler,
+    essential_generators,
     index_of_nilpotency,
     j_multiplicity,
     max_spread_check,
     reduction_number,
     sample_reduction,
+)
+from jstretch.registry import build_case
+
+# the 17 registry cases the suite and the benchmark run
+REGISTRY_CASES = (
+    [("thickline", {"r": r}) for r in (2, 3, 4)]
+    + [("noncm-curve", {"r": r}) for r in (2, 3)]
+    + [(cid, {}) for cid in ("mixed-monomial-a", "mixed-monomial-b", "quartic-monomial")]
+    + [(cid, {}) for cid in ("points-p2", "points-p3", "semigroup-345")]
+    + [(cid, {}) for cid in ("rn2-mon-a", "rn2-mon-b", "rn2-mon-c", "rn2-mon-wide")]
+    + [("non-g2", {"t": t}) for t in (0, 1)]
 )
 
 
@@ -128,3 +142,34 @@ def test_seed_stability_of_invariants():
         rd = sample_reduction(I, GeneralSampler(seed))
         values.add((reduction_number(rd), index_of_nilpotency(rd), int(j_multiplicity(rd))))
     assert values == {(2, 2, 3)}
+
+
+@pytest.mark.parametrize(
+    "cid, kw",
+    REGISTRY_CASES,
+    ids=[cid + "".join(f"-{k}{v}" for k, v in kw.items()) for cid, kw in REGISTRY_CASES],
+)
+def test_draw_over_essential_generators(cid, kw):
+    case = build_case(cid, **kw)
+    I = case.ideal
+    ring = case.ambient.ring
+    relations = list(case.ambient.relations)
+    kept = essential_generators(I)
+    rest = iter(I.generators)
+    assert all(any(g == h for h in rest) for g in kept), "kept list is not a subsequence"
+    assert case.ambient.ideal(kept) == I
+    for g in I.generators:
+        if g in kept:
+            continue
+        lower = [h for h in kept if h.degree < g.degree]
+        cofactor_degree = g.degree - min(h.degree for h in lower)
+        assert membership_oracle(ring, g, lower + relations, cofactor_degree)
+    rd = sample_reduction(I, GeneralSampler(1, ring.field))
+    if cid == "points-p3":
+        # the Groebner basis of the points lists a cubic in m*(quadrics)
+        assert [g.degree for g in kept] == [2] * 5
+        assert rd.J.is_homogeneous
+    else:
+        assert kept == I.generators
+        sampler = GeneralSampler(1, ring.field)
+        assert rd.lam == tuple(sampler.row(len(I.generators)) for _ in range(rd.d))

@@ -2,6 +2,7 @@
 
 from jstretch import groebner, ideals, lengths
 from jstretch.ideals import IdealHandle
+from jstretch.reductions import GeneralSampler, index_of_nilpotency, reduction_number, sample_reduction
 from jstretch.registry import build_case
 from jstretch.report import analyze
 from jstretch.speclab import stability_trials
@@ -50,3 +51,16 @@ def test_analyze_still_saturates(monkeypatch):
     report = analyze(case.ideal, trials=1)
     assert report.r_J == 3
     assert calls
+
+
+def test_points_p3_containments_need_no_element_colon(monkeypatch):
+    # J is drawn over the five quadrics, so J is homogeneous and every
+    # containment of the two searches is settled by a normal form and the
+    # graded shortcut
+    case = build_case("points-p3")
+    rd = sample_reduction(case.ideal, GeneralSampler(1000, case.ambient.ring.field))
+    rd.sat  # the saturation is built before counting starts
+    calls = _count_calls(monkeypatch, (IdealHandle,), "_element_colon")
+    assert reduction_number(rd) == 2
+    assert index_of_nilpotency(rd) == 1
+    assert calls == []
