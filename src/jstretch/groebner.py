@@ -11,16 +11,28 @@ from .poly import Polynomial
 DEFAULT_DEGREE_CAP = 40
 
 
+def reducer_table(basis):
+    """The (lm, 1/lc, terms) rows that reduce_by divides by, zeros dropped."""
+    return [(g.lm, g.ring.field.inv(g.lc), g.terms) for g in basis if not g.is_zero]
+
+
 def normal_form(f, basis):
     """Full remainder of f under multivariate division by basis.
 
     Deterministic: the highest remaining monomial is cancelled by the
     first basis element whose leading monomial divides it.
     """
-    ring = f.ring
-    reducers = [(g.lm, ring.field.inv(g.lc), g.terms) for g in basis if not g.is_zero]
+    return reduce_by(f, reducer_table(basis))
+
+
+def reduce_by(f, reducers):
+    """normal_form(f, basis) for reducers = reducer_table(basis).
+
+    Callers that reduce many polynomials by one basis build the table once.
+    """
     if f.is_zero or not reducers:
         return f
+    ring = f.ring
     p = ring.field.p
     divides = ring.divides
     negkey = ring.negkey
@@ -74,10 +86,10 @@ def _reduce_basis(basis):
     for g in polys:
         if not any(ring.divides(h.lm, g.lm) for h in minimal):
             minimal.append(g)
+    table = reducer_table(minimal)
     reduced = []
     for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(normal_form(g, others).monic())
+        reduced.append(reduce_by(g, table[:i] + table[i + 1 :]).monic())
     return tuple(reduced)
 
 
@@ -95,6 +107,7 @@ def buchberger(gens, degree_cap=DEFAULT_DEGREE_CAP):
     ring = gens[0].ring
 
     basis = []
+    table = []  # reducer_table(basis), grown with it
     lms = []
     pending = set()
     heap = []
@@ -106,6 +119,7 @@ def buchberger(gens, degree_cap=DEFAULT_DEGREE_CAP):
         h = h.monic()
         t = len(basis)
         basis.append(h)
+        table.append((h.lm, 1, h.terms))  # h is monic
         lms.append(h.lm)
         for i in range(t):
             lcm = ring.lcm(lms[i], h.lm)
@@ -114,7 +128,7 @@ def buchberger(gens, degree_cap=DEFAULT_DEGREE_CAP):
 
     while candidates or heap:
         if candidates:
-            h = normal_form(candidates.popleft(), basis)
+            h = reduce_by(candidates.popleft(), table)
             if not h.is_zero:
                 add_element(h)
             continue
@@ -138,7 +152,7 @@ def buchberger(gens, degree_cap=DEFAULT_DEGREE_CAP):
                 break
         if chain:
             continue
-        s = normal_form(s_polynomial(basis[i], basis[j], lcm), basis)
+        s = reduce_by(s_polynomial(basis[i], basis[j], lcm), table)
         if not s.is_zero:
             add_element(s)
 

@@ -6,6 +6,12 @@ so a single engine serves both S and R.  Handles are immutable, their
 reduced Groebner basis is computed once and shared, and all derived
 operations are memoized on the canonical basis, so repeated queries
 across an analysis are free.
+
+Intersections eliminate a fresh scalar t from t*A + (1-t)*B; colons
+intersect the element colons (A cap (b)) / b.  Saturation A : B^infinity
+uses the Rabinowitsch trick: for each generator f of B,
+A : f^infinity = (A + H + (1 - u*f)) cap S for a fresh variable u, one
+elimination per generator, and the parts are intersected.
 """
 
 from itertools import combinations_with_replacement
@@ -259,32 +265,34 @@ class IdealHandle:
         return tuple(exact_divide(g, b) for g in inter)
 
     def _colon_gens(self, other):
-        ambient = self.ambient
         parts = [self._element_colon(b) for b in self._colon_generating_set(other)]
-        if not parts:
-            return (ambient.ring.one(),)
-        result = IdealHandle(ambient, parts[0])
-        for gens_part in parts[1:]:
-            result = result.intersect(IdealHandle(ambient, gens_part))
-        return result.generators
+        return _intersect_all(self.ambient, parts)
 
     def saturate(self, other):
-        """(self : other^infinity): iterate the colon to its fixed point."""
+        """(self : other^infinity) by one Rabinowitsch elimination per generator.
+
+        For each generator f of other's image, (self : f^infinity) is
+        (self + H + (1 - u*f)) cap S for a fresh variable u, read off one
+        elimination; the saturation by other is the intersection of these
+        parts, and the unit ideal when other is zero in R.
+        """
         self._check(other)
         key = self._memo("saturate", other.gb)
         got = _OP_CACHE.get(key)
         if got is None:
-            current = self
-            for _ in range(200):
-                bigger = current.colon(other)
-                if bigger == current:
-                    break
-                current = bigger
-            else:
-                raise RuntimeError("saturation failed to stabilize")
-            got = current.generators
+            parts = [self._element_saturation(f) for f in self._colon_generating_set(other)]
+            got = _intersect_all(self.ambient, parts)
             _OP_CACHE[key] = got
         return IdealHandle(self.ambient, got)
+
+    def _element_saturation(self, f):
+        """(self : f^infinity) as generators, via (self + H + (1 - u*f)) cap S."""
+        ring = self.ambient.ring
+        ext = ring.extended_front((_fresh_name(ring.names),), elimination_block(1))
+        u = ext.variable(0)
+        lifted = [ext.lift_front(g, 1) for g in self.gb]
+        lifted.append(ext.one() - u * ext.lift_front(f, 1))
+        return eliminate(lifted, 1, self.ambient.gb_cap, target_ring=ring)
 
     # -- dimension ---------------------------------------------------------
 
@@ -304,6 +312,16 @@ def _product(polys):
     for p in polys[1:]:
         result = result * p
     return result
+
+
+def _intersect_all(ambient, parts):
+    """Generators of the intersection of the ideals generated by parts; R for none."""
+    if not parts:
+        return (ambient.ring.one(),)
+    result = IdealHandle(ambient, parts[0])
+    for gens in parts[1:]:
+        result = result.intersect(IdealHandle(ambient, gens))
+    return result.generators
 
 
 def _intersect_raw(ambient, gens_a, gens_b):

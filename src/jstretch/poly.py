@@ -186,13 +186,14 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial; term order follows the ring's order."""
 
-    __slots__ = ("ring", "_d", "_terms", "_deg")
+    __slots__ = ("ring", "_d", "_terms", "_deg", "_hash")
 
     def __init__(self, ring, d):
         self.ring = ring
         self._d = d
         self._terms = None
         self._deg = None
+        self._hash = None
 
     def mapping(self):
         return self._d
@@ -344,7 +345,9 @@ class Polynomial:
         return self.ring == other.ring and self._d == other._d
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self._d.items())))
+        if self._hash is None:
+            self._hash = hash((self.ring, frozenset(self._d.items())))
+        return self._hash
 
     def __str__(self):
         if self.is_zero:

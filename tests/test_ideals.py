@@ -7,6 +7,8 @@ from oracles import monomial_intersection
 from jstretch.errors import AmbientMismatch, DegreeBoundExceeded, NotContainedInMaximal
 from jstretch.ideals import AmbientRing
 from jstretch.poly import PolyRing
+from jstretch.reductions import GeneralSampler, sample_reduction
+from jstretch.registry import build_case
 
 
 @pytest.fixture
@@ -65,6 +67,68 @@ def test_colon_and_saturate(kxyz):
     assert A.saturate(kxyz.unit_ideal()) == A
     sat = A.saturate(kxyz.ideal(x, y))
     assert sat.saturate(kxyz.ideal(x, y)) == sat
+
+
+def _saturate_by_colons(A, B):
+    """A : B^infinity as the fixed point of A, A : B, (A : B) : B, ..."""
+    current = A
+    for _ in range(50):
+        bigger = current.colon(B)
+        if bigger == current:
+            return current
+        current = bigger
+    pytest.fail("colon chain did not stabilize in 50 steps")
+
+
+def test_saturate_matches_colon_fixed_point(kxyz):
+    x, y, z = vars_of(kxyz)
+    pairs = [
+        (kxyz.ideal(x**4, x * z, y * z), kxyz.ideal(x, y)),
+        (kxyz.ideal(x**4, x * z, y * z), kxyz.ideal(z)),
+        # inhomogeneous: x*(x - 1)*(x, y) has an embedded component at (x, y)
+        (kxyz.ideal(x**2 * (x - 1), x * y * (x - 1)), kxyz.ideal(x, y)),
+        (kxyz.ideal(x**2, y), kxyz.zero_ideal()),
+        (kxyz.ideal(x**2, y), kxyz.unit_ideal()),
+        (kxyz.zero_ideal(), kxyz.ideal(x, y)),
+        (kxyz.zero_ideal(), kxyz.zero_ideal()),
+    ]
+    for A, B in pairs:
+        assert A.saturate(B) == _saturate_by_colons(A, B)
+    embedded = kxyz.ideal(x**2 * (x - 1), x * y * (x - 1))
+    assert embedded.saturate(kxyz.ideal(x, y)) == kxyz.ideal(x * (x - 1))
+    assert kxyz.ideal(x**2, y).saturate(kxyz.zero_ideal()) == kxyz.unit_ideal()
+    assert kxyz.zero_ideal().saturate(kxyz.ideal(x, y)) == kxyz.zero_ideal()
+
+
+@pytest.mark.parametrize(
+    "case_id, params", [("noncm-curve", {"r": 2}), ("semigroup-345", {})]
+)
+def test_saturate_matches_colon_fixed_point_with_relations(case_id, params):
+    # noncm-curve has relations H; semigroup-345 has inhomogeneous relations,
+    # d = 1 so J_{d-1} is the zero ideal, and an inhomogeneous J
+    case = build_case(case_id, **params)
+    rd = sample_reduction(case.ideal, GeneralSampler(1000, case.ambient.ring.field))
+    for A in (rd.Jd1, rd.J):
+        assert A.saturate(rd.I) == _saturate_by_colons(A, rd.I)
+    amb = case.ambient
+    assert amb.zero_ideal().saturate(rd.I) == _saturate_by_colons(amb.zero_ideal(), rd.I)
+
+
+def test_saturate_honours_degree_cap():
+    # 1 - u*x*y has degree 3, past the cap of 2, so the elimination raises
+    # rather than return a basis computed past the cap
+    ring = PolyRing(("x", "y"))
+    x, y = ring.variables()
+    capped = AmbientRing(ring, (), 2)
+    A, B = capped.ideal(x**2 - y), capped.ideal(x * y)
+    A.gb, B.gb  # both bases lie within the cap
+    with pytest.raises(DegreeBoundExceeded):
+        A.saturate(B)
+    # (x^2 - y) is prime and misses x*y, so it is its own saturation
+    uncapped = AmbientRing(ring)
+    assert uncapped.ideal(x**2 - y).saturate(uncapped.ideal(x * y)) == uncapped.ideal(x**2 - y)
+    with pytest.raises(DegreeBoundExceeded):
+        A.saturate(B)
 
 
 def test_colon_invariants(kxyz):

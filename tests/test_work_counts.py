@@ -64,3 +64,25 @@ def test_points_p3_containments_need_no_element_colon(monkeypatch):
     assert reduction_number(rd) == 2
     assert index_of_nilpotency(rd) == 1
     assert calls == []
+
+
+def test_saturate_makes_one_elimination_per_generator(monkeypatch):
+    # k Rabinowitsch eliminations plus k - 1 intersections, at most
+    case = build_case("noncm-curve", r=2)
+    rd = sample_reduction(case.ideal, GeneralSampler(1000, case.ambient.ring.field))
+    amb = build_case("thickline", r=3).ambient
+    x, y, z = amb.ring.variables()
+    pairs = [
+        (rd.Jd1, rd.I),
+        (amb.ideal(x * y), amb.ideal(x, y, z)),
+        (amb.ideal(y**2), amb.ideal(y)),
+    ]
+    for A, B in pairs:
+        A.gb, B.gb, A.ambient.zero_ideal().gb  # bases are built before counting starts
+    monkeypatch.setattr(ideals, "_OP_CACHE", {})
+    calls = _count_calls(monkeypatch, (groebner, ideals), "eliminate")
+    for A, B in pairs:
+        del calls[:]
+        A.saturate(B)
+        k = len(B.generators)
+        assert 1 <= len(calls) <= 2 * k - 1
