@@ -1,29 +1,38 @@
 """Local lengths lambda((A/B)_m) and Hilbert functions.
 
-The length of (A/B) localized at the origin is obtained from truncated
-colengths: for N large,
+Graded input is exact.  For homogeneous B <= A the quotient A/B is a
+graded module, so it is supported at the origin exactly when it has
+finite length, and then its local length is its k-dimension.  A
+homogeneous ideal X has the Hilbert function of the monomial ideal
+in(X) spanned by the leading monomials of its cached basis, so
 
-    lambda((A/B)_m) = dim_k S/(B + H + m^N) - dim_k S/(A + H + m^N).
+    HS(S/X) = N_X(t) / (1 - t)^n,    HS(A/B) = (N_B(t) - N_A(t)) / (1 - t)^n,
 
-Why this works: S/(X + m^N) is supported only at the origin, so its
-k-dimension equals the local length of S_m/(X_m + m^N).  From the exact
-sequence 0 -> (A + m^N)/(B + m^N) -> S/(B + m^N) -> S/(A + m^N) -> 0 the
-difference equals lambda(A_m/(B_m + A_m cap m^N)) (the modular law
+where the numerator N_X comes from the pivot recursion of Bayer and
+Stillman.  A/B has finite length exactly when (1 - t)^n divides
+N_B - N_A, and the length is the quotient's value at t = 1.  No
+truncation, cap or plateau is involved, and INFINITE is exact.
+
+Inhomogeneous input uses truncated colengths: with Q_N = (x_1^N, ...,
+x_n^N), for N large
+
+    lambda((A/B)_m) = dim_k S/(B + H + Q_N) - dim_k S/(A + H + Q_N).
+
+Why this works: S/(X + Q_N) is supported only at the origin, so its
+k-dimension equals the local length of S_m/(X_m + Q_N).  From the exact
+sequence 0 -> (A + Q_N)/(B + Q_N) -> S/(B + Q_N) -> S/(A + Q_N) -> 0 the
+difference equals lambda(A_m/(B_m + A_m cap Q_N)) (the modular law
 applies because B_m is contained in A_m).  When (A/B)_m has finite
 length, m^t A_m falls inside B_m for t large, and the Artin-Rees lemma
-pushes A_m cap m^N below m^{N-c} A_m, so the difference stabilizes at
+pushes A_m cap Q_N below m^{N-c} A_m, so the difference stabilizes at
 lambda((A/B)_m).  The sequence is non-decreasing in N; two consecutive
 schedule values agreeing is the stabilization test, and running past the
-cap without agreement reports the length as INFINITE.
-
-For homogeneous X the truncated colength needs no new Groebner basis:
-(X + m^N)_d = X_d for d < N, and in(X) has the same Hilbert function as
-X, so dim_k S/(X + m^N) is the staircase count of the leading monomials
-of the cached basis of X below N (the pivot recursion of Bayer and
-Stillman).  Inhomogeneous X adjoins x_i^N and runs Buchberger.
+cap without agreement reports the length as INFINITE.  Each truncated
+colength adjoins the x_i^N and runs Buchberger.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 from .errors import NotLocallyContained
@@ -41,7 +50,12 @@ _STAIRCASE_CACHE = {}
 
 @dataclass(frozen=True)
 class LocalLength:
-    """A local colength: value is a nonnegative int, or INFINITE."""
+    """A local colength: value is a nonnegative int, or INFINITE.
+
+    stabilized_at is the truncation exponent at which the schedule of an
+    inhomogeneous length stabilized; it is None for graded lengths, which
+    are exact, and for INFINITE.
+    """
 
     value: object
     stabilized_at: object = None
@@ -65,89 +79,95 @@ def _minimalize(gens):
     return tuple(kept)
 
 
-def count_standard_below(lead_exps, bound, nvars):
-    """Number of monomials of degree < bound outside the monomial ideal.
+def _plus_shifted(p, q, shift, sign=1):
+    """p + sign * t^shift * q for coefficient tuples indexed from t^0."""
+    out = list(p) + [0] * max(0, len(q) + shift - len(p))
+    for i, c in enumerate(q):
+        out[i + shift] += sign * c
+    return tuple(out)
 
-    Pivot recursion: splitting on a variable x gives
-    |std(M)_{<N}| = |std(M + (x))_{<N}| + |std(M : x)_{<N-1}|.
-    Base cases are the empty ideal and ideals of pure variable powers.
+
+def hilbert_numerator(lead_exps):
+    """N_M(t) with HS(S/M) = N_M(t)/(1 - t)^n, for the monomial ideal M
+    generated by the exponent vectors, as coefficients from t^0 up.
+
+    Pivot recursion: for a pivot p = x_j^e, the exact sequence
+    0 -> S/(M : p)(-e) -> S/M -> S/(M + (p)) -> 0 gives
+    N(M) = N(M + (p)) + t^e N(M : p).  Base cases: M containing 1 gives
+    0, the zero ideal gives 1, and pure powers x_i^a_i give the product
+    of the (1 - t^a_i).
     """
-    if bound <= 0:
-        return 0
-    gens = _minimalize(tuple(tuple(e) for e in lead_exps))
-    return _count(gens, bound, nvars)
+    return _numerator(_minimalize(tuple(tuple(e) for e in lead_exps)))
 
 
-def _count(gens, bound, nvars):
-    if bound <= 0:
-        return 0
+def _numerator(gens):
     if any(sum(g) == 0 for g in gens):
-        return 0
+        return ()
     if not gens:
-        return comb(bound - 1 + nvars, nvars)
-    key = (gens, bound)
-    got = _STAIRCASE_CACHE.get(key)
+        return (1,)
+    got = _STAIRCASE_CACHE.get(gens)
     if got is not None:
         return got
     mixed = [g for g in gens if sum(1 for e in g if e) > 1]
     if not mixed:
-        caps = [bound] * nvars
+        got = (1,)
         for g in gens:
-            for i, e in enumerate(g):
-                if e:
-                    caps[i] = min(caps[i], e)
-        ways = [0] * bound
-        ways[0] = 1
-        for cap in caps:
-            prefix = [0] * (bound + 1)
-            for d in range(bound):
-                prefix[d + 1] = prefix[d] + ways[d]
-            new = [0] * bound
-            for d in range(bound):
-                lo = max(0, d - (cap - 1))
-                new[d] = prefix[d + 1] - prefix[lo]
-            ways = new
-        got = sum(ways)
+            got = _plus_shifted(got, got, sum(g), -1)
     else:
-        counts = [0] * nvars
-        for g in mixed:
-            for i, e in enumerate(g):
-                if e:
-                    counts[i] += 1
+        nvars = len(gens[0])
+        counts = [sum(1 for g in mixed if g[i]) for i in range(nvars)]
         j = counts.index(max(counts))
-        pivot = tuple(1 if i == j else 0 for i in range(nvars))
-        with_pivot = _minimalize(tuple(g for g in gens if g[j] == 0) + (pivot,))
+        e = min(g[j] for g in mixed if g[j])
+        pivot = tuple(e if i == j else 0 for i in range(nvars))
+        with_pivot = _minimalize(tuple(g for g in gens if g[j] < e) + (pivot,))
         quotient = _minimalize(
-            tuple(tuple(max(e - 1, 0) if i == j else e for i, e in enumerate(g)) for g in gens)
+            tuple(tuple(max(x - e, 0) if i == j else x for i, x in enumerate(g)) for g in gens)
         )
-        got = _count(with_pivot, bound, nvars) + _count(quotient, bound - 1, nvars)
-    _STAIRCASE_CACHE[key] = got
+        got = _plus_shifted(_numerator(with_pivot), _numerator(quotient), e)
+    _STAIRCASE_CACHE[gens] = got
     return got
 
 
-def truncated_colength(handle, bound, homogeneous=True):
-    """dim_k of S modulo the handle plus an origin-primary truncation ideal.
+def numerator_length(numerator, nvars):
+    """The value at t = 1 of numerator / (1 - t)^nvars, or INFINITE when
+    that quotient is not a polynomial (some division leaves a remainder)."""
+    coeffs = list(numerator)
+    for _ in range(nvars):
+        if sum(coeffs) != 0:
+            return INFINITE
+        # p = (1 - t) q with q_i = p_0 + ... + p_i once p(1) = 0
+        coeffs = list(accumulate(coeffs))[:-1]
+    return sum(coeffs)
 
-    Homogeneous data uses m^bound: the count is read off the leading
-    monomials of the cached basis, which is exact because the reduced
-    basis of a homogeneous ideal is homogeneous, so the standard
-    monomials of degree d span (S/X)_d.  Inhomogeneous data instead
-    adjoins the pure powers x_i^bound, a cofinal family with the same
-    stabilized differences, and runs Buchberger on them.
+
+def _basis_numerator(gb, ring):
+    return hilbert_numerator([ring.decode(g.lm) for g in gb])
+
+
+def count_standard_below(lead_exps, bound, nvars):
+    """Number of monomials of degree < bound outside the monomial ideal.
+
+    A partial sum of the Hilbert series: sum over i < bound of
+    N_i * C(bound - 1 - i + n, n), N the Hilbert-series numerator.
     """
-    key = (handle.ambient, handle.gb, bound, homogeneous)
+    numerator = hilbert_numerator(lead_exps)
+    return sum(c * comb(bound - 1 - i + nvars, nvars) for i, c in enumerate(numerator[: max(bound, 0)]))
+
+
+def truncated_colength(handle, bound):
+    """dim_k S/(X + H + (x_1^bound, ..., x_n^bound)) for the handle's X.
+
+    Adjoins the pure powers to the cached basis and runs Buchberger; the
+    resulting ideal is Artinian, so its Hilbert-series numerator gives
+    the count.
+    """
+    key = (handle.ambient, handle.gb, bound)
     got = _COLENGTH_CACHE.get(key)
     if got is None:
         ring = handle.ambient.ring
-        if homogeneous:
-            if not handle.is_homogeneous:
-                raise ValueError("homogeneous truncation of an inhomogeneous ideal")
-            got = count_standard_below([ring.decode(g.lm) for g in handle.gb], bound, ring.nvars)
-        else:
-            powers = [ring.variable(i) ** bound for i in range(ring.nvars)]
-            gb = buchberger(list(handle.gb) + powers, degree_cap=10**6)
-            lead = [ring.decode(g.lm) for g in gb]
-            got = count_standard_below(lead, ring.nvars * bound + 1, ring.nvars)
+        powers = [ring.variable(i) ** bound for i in range(ring.nvars)]
+        gb = buchberger(list(handle.gb) + powers, degree_cap=10**6)
+        got = numerator_length(_basis_numerator(gb, ring), ring.nvars)
         _COLENGTH_CACHE[key] = got
     return got
 
@@ -155,10 +175,12 @@ def truncated_colength(handle, bound, homogeneous=True):
 def quotient_length(big, small, check=True):
     """lambda((big/small)_m) for ideals small <= big locally at the origin.
 
-    Truncation exponents run N0, N0+4, ... with N0 six above the largest
-    generator degree; agreement of two consecutive values is the
-    stabilization test.  INFINITE (no stabilization by TRUNCATION_CAP) is a
-    legitimate result, not an error.
+    Homogeneous big and small: exact, from the Hilbert-series numerators
+    of the cached bases, with stabilized_at None.  Otherwise truncation
+    exponents run N0, N0+4, ... with N0 six above the largest generator
+    degree; agreement of two consecutive values is the stabilization
+    test, and no stabilization by TRUNCATION_CAP gives INFINITE.  INFINITE
+    is a legitimate result, not an error.
     """
     if big.ambient != small.ambient:
         raise NotLocallyContained("ideals over different ambient rings")
@@ -168,6 +190,17 @@ def quotient_length(big, small, check=True):
     got = _LENGTH_CACHE.get(key)
     if got is not None:
         return got
+    if big.is_homogeneous and small.is_homogeneous:
+        ring = big.ambient.ring
+        difference = _plus_shifted(_basis_numerator(small.gb, ring), _basis_numerator(big.gb, ring), 0, -1)
+        got = LocalLength(numerator_length(difference, ring.nvars))
+    else:
+        got = _truncated_length(big, small)
+    _LENGTH_CACHE[key] = got
+    return got
+
+
+def _truncated_length(big, small):
     start = (
         max(
             big.max_generator_degree(),
@@ -176,22 +209,17 @@ def quotient_length(big, small, check=True):
         )
         + 6
     )
-    homogeneous = big.is_homogeneous and small.is_homogeneous
     prev = None
     prev_n = None
     n = start
     while n <= TRUNCATION_CAP:
-        val = truncated_colength(small, n, homogeneous) - truncated_colength(big, n, homogeneous)
+        val = truncated_colength(small, n) - truncated_colength(big, n)
         if val == prev:
-            got = LocalLength(val, prev_n)
-            break
+            return LocalLength(val, prev_n)
         prev = val
         prev_n = n
         n += TRUNCATION_STEP
-    else:
-        got = LocalLength(INFINITE, None)
-    _LENGTH_CACHE[key] = got
-    return got
+    return LocalLength(INFINITE, None)
 
 
 def is_m_primary(handle):

@@ -230,8 +230,9 @@ def j_multiplicity(rd):
     """lambda(Ibar / x_d Ibar) in the residual quotient, with its split.
 
     The total must equal lambda(Ibar/Ibar^2) + lambda(Ibar^2/x_d Ibar);
-    a mismatch would mean the truncation stabilized on a wrong plateau,
-    so it is asserted rather than trusted.
+    on inhomogeneous input a mismatch would mean the truncation
+    schedule stabilized on a wrong plateau, so it is asserted rather
+    than trusted.
     """
     _require_spread(rd)
     xdI = rd.xd_bar * rd.Ibar

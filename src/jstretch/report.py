@@ -43,7 +43,11 @@ from .reductions import (
 
 @dataclass(frozen=True)
 class Caps:
-    """The caps an analysis ran under; only gb_degree is configurable."""
+    """The caps an analysis ran under; only gb_degree is configurable.
+
+    truncation caps the truncation schedule of inhomogeneous lengths
+    only; graded lengths are exact and reach no cap.
+    """
 
     gb_degree: int = DEFAULT_DEGREE_CAP
     truncation: int = TRUNCATION_CAP

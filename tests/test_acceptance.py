@@ -54,14 +54,13 @@ from oracles import (
     membership_oracle,
     monomial_intersection,
     monomial_quotient_length,
-    staircase_count,
 )
 
 from jstretch.analysis import almost_cm_check, hilbert_K, properties_audit, vv_equalities
 from jstretch.fibercone import analytic_spread, gr_presentation, graded_depth
 from jstretch.groebner import buchberger, normal_form
 from jstretch.ideals import AmbientRing
-from jstretch.lengths import count_standard_below, quotient_length
+from jstretch.lengths import quotient_length
 from jstretch.poly import PolyRing
 from jstretch.reductions import (
     GeneralSampler,

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from jstretch.cli import main
 
 THICKLINE = """

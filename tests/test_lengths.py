@@ -9,11 +9,13 @@ from jstretch.groebner import buchberger
 from jstretch.ideals import AmbientRing
 from jstretch.lengths import (
     INFINITE,
+    LocalLength,
     count_standard_below,
     hilbert_function,
+    hilbert_numerator,
     is_m_primary,
+    numerator_length,
     quotient_length,
-    truncated_colength,
 )
 from jstretch.poly import PolyRing
 from jstretch.reductions import GeneralSampler, sample_reduction
@@ -57,8 +59,20 @@ def test_infinite_is_a_result(kxy):
     got = quotient_length(kxy.unit_ideal(), kxy.ideal(x))
     assert got.value == INFINITE
     assert not got.is_finite
+    assert got.stabilized_at is None
     with pytest.raises(ValueError):
         int(got)
+
+
+def test_graded_lengths_past_the_socle_degree_of_the_old_schedule():
+    # socle degrees 58 and 59: a truncation schedule capped at N = 60
+    # never sees two values past them
+    kxy = AmbientRing(PolyRing(("x", "y")))
+    x, y = kxy.ring.variables()
+    assert quotient_length(kxy.unit_ideal(), kxy.ideal(x**30, y**30)) == LocalLength(900, None)
+    wide = AmbientRing(PolyRing(("x", "y")), gb_cap=80)
+    x, y = wide.ring.variables()
+    assert quotient_length(wide.unit_ideal(), wide.ideal(x**60, y)) == LocalLength(60, None)
 
 
 def test_zero_length_iff_local_containment(kxy):
@@ -95,6 +109,21 @@ def test_staircase_counter_against_enumeration():
         assert count_standard_below(gens, bound, nvars) == staircase_count(gens, bound, nvars)
 
 
+def test_hilbert_numerator_length_against_enumeration():
+    rng = random.Random(32)
+    for _ in range(60):
+        nvars = rng.randint(1, 4)
+        powers = [rng.randint(1, 5) for _ in range(nvars)]
+        gens = [tuple(a if i == j else 0 for j in range(nvars)) for i, a in enumerate(powers)]
+        gens += [tuple(rng.randint(0, 5) for _ in range(nvars)) for _ in range(rng.randint(0, 5))]
+        # every standard monomial divides prod x_i^(a_i - 1), of degree below sum(powers)
+        expected = staircase_count(gens, sum(powers), nvars)
+        assert numerator_length(hilbert_numerator(gens), nvars) == expected
+        # without a power of x_0 the x_0-axis is standard: not Artinian
+        off_axis = [g for g in gens if any(g[1:])]
+        assert numerator_length(hilbert_numerator(off_axis), nvars) == INFINITE
+
+
 def _explicit_colength(handle, bound):
     """dim_k S/(X + H + m^bound): a fresh basis with every monomial of
     degree bound adjoined, then its standard monomials below bound."""
@@ -120,22 +149,19 @@ def test_graded_colength_matches_explicit_construction():
         for _ in range(8):
             gens = [_random_form(amb.ring, rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
             X = amb.ideal([g for g in gens if not g.is_zero])
+            lead = [amb.ring.decode(g.lm) for g in X.gb]
             for bound in (5, 6, 8):
-                assert truncated_colength(X, bound) == _explicit_colength(X, bound)
+                assert count_standard_below(lead, bound, len(names)) == _explicit_colength(X, bound)
     for example, r in (("thickline", 3), ("rn2-mon-a", None), ("mixed-monomial-a", None), ("points-p2", None)):
         case = build_case(example, r=r)
         I = case.ideal
         J = sample_reduction(I, GeneralSampler(1, case.ambient.ring.field)).J
         for X in (I**2, J**2, J * I):
             assert X.is_homogeneous
+            ring = case.ambient.ring
+            lead = [ring.decode(g.lm) for g in X.gb]
             for bound in (6, 10, 14):
-                assert truncated_colength(X, bound) == _explicit_colength(X, bound)
-
-
-def test_graded_colength_rejects_inhomogeneous_ideal(kxy):
-    x, y = kxy.ring.variables()
-    with pytest.raises(ValueError):
-        truncated_colength(kxy.ideal(x**2 - y), 6)
+                assert count_standard_below(lead, bound, ring.nvars) == _explicit_colength(X, bound)
 
 
 def test_quotient_length_against_monomial_oracle():

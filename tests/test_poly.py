@@ -3,7 +3,6 @@ import random
 import pytest
 
 from jstretch.errors import AmbientMismatch
-from jstretch.field import PrimeField
 from jstretch.orders import elimination_block, grevlex, lex
 from jstretch.poly import PolyRing
 

@@ -1,7 +1,8 @@
 """Work counts of the cached paths: calls are counted, never timed."""
 
 from jstretch import groebner, ideals, lengths
-from jstretch.ideals import IdealHandle
+from jstretch.ideals import AmbientRing, IdealHandle
+from jstretch.poly import PolyRing
 from jstretch.reductions import GeneralSampler, index_of_nilpotency, reduction_number, sample_reduction
 from jstretch.registry import build_case
 from jstretch.report import analyze
@@ -22,18 +23,28 @@ def _count_calls(monkeypatch, owners, name):
     return calls
 
 
-def test_graded_colength_runs_no_buchberger(monkeypatch):
-    case = build_case("rn2-mon-a")
-    X = case.ideal**2
-    X.gb  # the cached basis is built before counting starts
-    monkeypatch.setattr(lengths, "_COLENGTH_CACHE", {})
-    calls = _count_calls(monkeypatch, (groebner, ideals, lengths), "buchberger")
-    for bound in (6, 10, 14):
-        lengths.truncated_colength(X, bound)
-    assert calls == []
-    # the inhomogeneous branch still runs one per bound, so the counter is live
-    lengths.truncated_colength(X, 6, homogeneous=False)
-    assert len(calls) == 1
+def test_graded_length_runs_no_truncation(monkeypatch):
+    case = build_case("rn2-mon-wide")
+    I = case.ideal
+    J = sample_reduction(I, GeneralSampler(1, case.ambient.ring.field)).J
+    pairs = [(I**2, J * I), (I**2, J**2)]  # I2/JI is 1; In/Jn at n = 2 is INFINITE
+    for big, small in pairs:
+        assert big.is_homogeneous and small.is_homogeneous
+        assert big.contains_locally(small)  # bases and the containment are cached before counting
+    amb = AmbientRing(PolyRing(("x", "y")))
+    x, y = amb.ring.variables()
+    inhomogeneous = (amb.unit_ideal(), amb.ideal(x**2 - y, y**3))
+    for X in inhomogeneous:
+        X.gb
+    monkeypatch.setattr(lengths, "_LENGTH_CACHE", {})
+    gb_calls = _count_calls(monkeypatch, (groebner, ideals, lengths), "buchberger")
+    truncations = _count_calls(monkeypatch, (lengths,), "truncated_colength")
+    values = [lengths.quotient_length(big, small).value for big, small in pairs]
+    assert values == [1, lengths.INFINITE]
+    assert gb_calls == [] and truncations == []
+    # an inhomogeneous length still truncates, so both counters are live
+    assert lengths.quotient_length(*inhomogeneous).value == 6
+    assert gb_calls and truncations
 
 
 def test_stability_trials_never_saturate(monkeypatch):
