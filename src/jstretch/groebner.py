@@ -2,7 +2,7 @@
 
 import heapq
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import DegreeBoundExceeded, ExactDivisionError
 from .orders import elimination_block
@@ -12,8 +12,8 @@ DEFAULT_DEGREE_CAP = 40
 
 
 def reducer_table(basis):
-    """The (lm, 1/lc, terms) rows that reduce_by divides by, zeros dropped."""
-    return [(g.lm, g.ring.field.inv(g.lc), g.terms) for g in basis if not g.is_zero]
+    """The (lm, 1/lc, tail terms) rows that reduce_by divides by, zeros dropped."""
+    return [(g.lm, g.ring.field.inv(g.lc), g.terms[1:]) for g in basis if not g.is_zero]
 
 
 def normal_form(f, basis):
@@ -34,36 +34,34 @@ def reduce_by(f, reducers):
         return f
     ring = f.ring
     p = ring.field.p
-    divides = ring.divides
-    negkey = ring.negkey
+    high = ring.high
+    key = ring.key
+    pop, push = heapq.heappop, heapq.heappush
     work = dict(f.mapping())
     out = {}
-    heap = [(negkey(m), m) for m in work]
+    heap = [(-key(m), m) for m in work]
     heapq.heapify(heap)
     while heap:
-        _, m = heapq.heappop(heap)
+        m = pop(heap)[1]
         c = work.pop(m, 0)
         if not c:
             continue
-        hit = None
-        for lm, inv_lc, terms in reducers:
-            if divides(lm, m):
-                hit = (lm, inv_lc, terms)
+        # lm divides m: no byte of (m | high) - lm borrows from its 0x80 bit
+        mh = m | high
+        for lm, inv_lc, tail in reducers:
+            if (mh - lm) & high == high:
                 break
-        if hit is None:
+        else:
             out[m] = c
             continue
-        lm, inv_lc, terms = hit
         shift = m - lm
-        factor = (c * inv_lc) % p
-        for mg, cg in terms:
+        factor = p - (c * inv_lc) % p
+        for mg, cg in tail:
             t = shift + mg
-            if t == m:
-                continue
-            v = (work.get(t, 0) - factor * cg) % p
+            v = (work.get(t, 0) + factor * cg) % p
             if v:
                 if t not in work:
-                    heapq.heappush(heap, (negkey(t), t))
+                    push(heap, (-key(t), t))
                 work[t] = v
             else:
                 work.pop(t, None)
@@ -71,11 +69,23 @@ def reduce_by(f, reducers):
 
 
 def s_polynomial(f, g, lcm=None):
+    """lcm/lt(f)·f − lcm/lt(g)·g, built in one pass over the two tails."""
     ring = f.ring
     if lcm is None:
         lcm = ring.lcm(f.lm, g.lm)
+    p = ring.field.p
     inv = ring.field.inv
-    return f.mono_multiple(lcm - f.lm, inv(f.lc)) - g.mono_multiple(lcm - g.lm, inv(g.lc))
+    shift, factor = lcm - f.lm, inv(f.lc)
+    d = {m + shift: c * factor % p for m, c in f.terms[1:]}
+    shift, factor = lcm - g.lm, p - inv(g.lc)
+    for m, c in g.terms[1:]:
+        t = m + shift
+        v = (d.get(t, 0) + c * factor) % p
+        if v:
+            d[t] = v
+        else:
+            d.pop(t, None)
+    return Polynomial(ring, d)
 
 
 def _reduce_basis(basis):
@@ -96,20 +106,35 @@ def _reduce_basis(basis):
 def buchberger(gens, degree_cap=DEFAULT_DEGREE_CAP):
     """The unique reduced Groebner basis of the input generators.
 
-    Pair selection follows the normal strategy (minimal lcm degree,
-    ties broken by the monomial order, then indices), with the coprime
-    and chain criteria pruning the queue.  Raises DegreeBoundExceeded
-    when an intermediate element passes degree_cap.
+    Pair selection follows the normal strategy (minimal lcm degree, ties
+    broken by the monomial order, then indices).  Pairs are pruned once,
+    by the Gebauer–Möller update (J. Symb. Comp. 6, 1988), when an
+    element h is inserted:
+
+    - criterion B_k drops a pending pair whose lcm the leading monomial
+      of h divides, unless its lcm with h equals the lcm of either half;
+    - among the new pairs with h, criterion M drops one whose lcm
+      another new lcm divides, and criterion F keeps one of each equal
+      lcm; a pair with coprime leading monomials is never reduced
+      (product criterion), nor is any of equal lcm;
+    - an element whose leading monomial that of h divides forms no more
+      pairs, but stays a reducer.
+
+    A popped pair is reduced with no further test.  Raises
+    DegreeBoundExceeded when an intermediate element passes degree_cap.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return ()
     ring = gens[0].ring
+    high = ring.high
+    lcm_of = ring.lcm
 
     basis = []
     table = []  # reducer_table(basis), grown with it
     lms = []
-    pending = set()
+    active = []  # indices of the elements that still form pairs
+    pending = {}  # (i, j) -> lcm of the pairs left to reduce
     heap = []
     candidates = deque(sorted(gens, key=lambda g: ring.key(g.lm)))
 
@@ -118,13 +143,33 @@ def buchberger(gens, degree_cap=DEFAULT_DEGREE_CAP):
             raise DegreeBoundExceeded(h.degree, degree_cap)
         h = h.monic()
         t = len(basis)
+        lm = h.lm
+        lcms = [lcm_of(g, lm) for g in lms]
+        # criterion B_k on the pending pairs
+        for (i, j), lcm in list(pending.items()):
+            if ((lcm | high) - lm) & high == high and lcms[i] != lcm and lcms[j] != lcm:
+                del pending[i, j]
+        new = [lcms[i] for i in active]
+        kept = []  # lcms of the new pairs that criteria M and F leave
+        for pos, i in enumerate(active):
+            lcm = new[pos]
+            if lcm == lms[i] + lm:  # coprime: never reduced, but still a divisor
+                kept.append(lcm)
+                continue
+            lh = lcm | high
+            for d in chain(new[pos + 1 :], kept):
+                if (lh - d) & high == high:
+                    break
+            else:
+                pending[i, t] = lcm
+                heapq.heappush(heap, (ring.deg(lcm), ring.key(lcm), i, t))
+                kept.append(lcm)
+        # an element whose leading monomial lm divides forms no more pairs
+        active[:] = [i for i in active if ((lms[i] | high) - lm) & high != high]
+        active.append(t)
         basis.append(h)
-        table.append((h.lm, 1, h.terms))  # h is monic
-        lms.append(h.lm)
-        for i in range(t):
-            lcm = ring.lcm(lms[i], h.lm)
-            pending.add((i, t))
-            heapq.heappush(heap, (ring.deg(lcm), ring.key(lcm), i, t))
+        table.append((lm, 1, h.terms[1:]))  # h is monic
+        lms.append(lm)
 
     while candidates or heap:
         if candidates:
@@ -133,24 +178,8 @@ def buchberger(gens, degree_cap=DEFAULT_DEGREE_CAP):
                 add_element(h)
             continue
         _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        lcm = ring.lcm(lms[i], lms[j])
-        if lcm == lms[i] + lms[j]:
-            continue
-        chain = False
-        for t, lmt in enumerate(lms):
-            if t == i or t == j:
-                continue
-            if (
-                ring.divides(lmt, lcm)
-                and (min(i, t), max(i, t)) not in pending
-                and (min(j, t), max(j, t)) not in pending
-            ):
-                chain = True
-                break
-        if chain:
+        lcm = pending.pop((i, j), None)
+        if lcm is None:
             continue
         s = reduce_by(s_polynomial(basis[i], basis[j], lcm), table)
         if not s.is_zero:

@@ -2,9 +2,12 @@
 
 Monomials are exponent vectors packed into Python ints, one byte per
 variable (variable 0 in the least significant byte).  Packing keeps the
-hot operations cheap: monomial product is integer addition, divisibility
-is one masked subtraction.  Exponents must stay below 128; the degree
-caps used throughout keep actual computations far from that bound.
+hot operations cheap on whole words: monomial product is integer
+addition, divisibility is one masked subtraction, the lcm is the
+bytewise max in three integer operations and the order key is an int
+(`orders`).  Exponents must stay below 128, so the top bit of every byte
+is free to catch borrows; the degree caps used throughout keep actual
+computations far from that bound.
 
 A polynomial is an immutable mapping packed-monomial -> nonzero
 coefficient together with its ring; term sequences sorted by the active
@@ -13,7 +16,7 @@ monomial order are materialized lazily and cached.
 
 from .errors import AmbientMismatch
 from .field import PrimeField
-from .orders import MonomialOrder, grevlex, negate_key
+from .orders import MonomialOrder, grevlex
 
 _SHIFT = 8
 _MAX_EXP = 127
@@ -34,10 +37,11 @@ class PolyRing:
         self.order = order if order is not None else grevlex()
         if not isinstance(self.order, MonomialOrder):
             raise TypeError("order must be a MonomialOrder")
-        self._high = sum(0x80 << (_SHIFT * i) for i in range(self.nvars))
+        # 0x80 in every byte: the bit above each packed exponent
+        self.high = sum(0x80 << (_SHIFT * i) for i in range(self.nvars))
         self._deg_cache = {}
+        self._order_key = self.order.packed_key(self.nvars)
         self._key_cache = {}
-        self._negkey_cache = {}
         self._sig = (self.names, self.field.p, self.order)
 
     # -- value semantics -------------------------------------------------
@@ -72,27 +76,23 @@ class PolyRing:
         return d
 
     def key(self, m):
+        """The int sort key of monomial m under the ring's order."""
         k = self._key_cache.get(m)
         if k is None:
-            k = self.order.key(self.decode(m))
+            k = self._order_key(m)
             self._key_cache[m] = k
-        return k
-
-    def negkey(self, m):
-        k = self._negkey_cache.get(m)
-        if k is None:
-            k = negate_key(self.key(m))
-            self._negkey_cache[m] = k
         return k
 
     def divides(self, a, b):
         """Whether monomial a divides monomial b (componentwise <=)."""
-        return ((b | self._high) - a) & self._high == self._high
+        return ((b | self.high) - a) & self.high == self.high
 
     def lcm(self, a, b):
-        ea = a.to_bytes(self.nvars, "little")
-        eb = b.to_bytes(self.nvars, "little")
-        return int.from_bytes(bytes(max(x, y) for x, y in zip(ea, eb)), "little")
+        """Bytewise max: the 0x80 bit of a byte of ge is set where a >= b,
+        and ge - (ge >> 7) widens it to the 0x7F mask taking a's byte."""
+        high = self.high
+        ge = ((a | high) - b) & high
+        return b ^ ((a ^ b) & (ge - (ge >> 7)))
 
     def mono_str(self, m):
         if m == 0:

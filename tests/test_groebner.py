@@ -11,8 +11,11 @@ from jstretch.groebner import (
     eliminate,
     exact_divide,
     normal_form,
+    reduce_by,
+    reducer_table,
+    s_polynomial,
 )
-from jstretch.orders import lex
+from jstretch.orders import elimination_block, grevlex, lex
 from jstretch.poly import PolyRing
 
 
@@ -95,6 +98,76 @@ def test_membership_matches_linear_algebra_oracle():
         outsider = random_poly(ring, rng, max_deg=4)
         for h in (member, outsider):
             assert normal_form(h, gb).is_zero == membership_oracle(ring, h, gens)
+
+
+def naive_remainder(f, basis):
+    """Division by repeated cancellation of the highest reducible term."""
+    ring = f.ring
+    rest, out = f, ring.zero()
+    while not rest.is_zero:
+        m, c = rest.terms[0]
+        g = next((g for g in basis if ring.divides(g.lm, m)), None)
+        if g is None:
+            out = out + ring.from_dict({m: c})
+            rest = rest - ring.from_dict({m: c})
+        else:
+            rest = rest - g.mono_multiple(m - g.lm, c * ring.field.inv(g.lc))
+    return out
+
+
+def criterion_free_buchberger(gens):
+    """Reduced Groebner basis with every S-pair reduced: the reference."""
+    ring = gens[0].ring
+    basis = [g for g in gens if not g.is_zero]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        # the pair of least lcm degree first, which keeps degrees low under lex
+        i, j = min(pairs, key=lambda ij: ring.deg(ring.lcm(basis[ij[0]].lm, basis[ij[1]].lm)))
+        pairs.remove((i, j))
+        f, g = basis[i], basis[j]
+        lcm = ring.lcm(f.lm, g.lm)
+        s = f.mono_multiple(lcm - f.lm, ring.field.inv(f.lc)) - g.mono_multiple(
+            lcm - g.lm, ring.field.inv(g.lc)
+        )
+        r = naive_remainder(s, basis)
+        if not r.is_zero:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(r)
+    minimal = []
+    for g in sorted(basis, key=lambda g: ring.key(g.lm)):
+        if not any(ring.divides(h.lm, g.lm) for h in minimal):
+            minimal.append(g)
+    return sorted(
+        (naive_remainder(g, [h for h in minimal if h is not g]).monic() for g in minimal),
+        key=lambda g: ring.key(g.lm),
+    )
+
+
+def random_near_homogeneous(ring, rng):
+    """Two or three terms of degree d or d - 1, for d = 2 or 3: many pairs,
+    and seldom the unit ideal."""
+    d = rng.randint(2, 3)
+    terms = []
+    for _ in range(rng.randint(2, 3)):
+        exps = [0] * ring.nvars
+        for _ in range(d - (rng.random() < 0.3)):
+            exps[rng.randrange(ring.nvars)] += 1
+        terms.append((tuple(exps), rng.randrange(1, ring.field.p)))
+    return ring.from_exp_terms(terms)
+
+
+@pytest.mark.parametrize("order", [grevlex(), lex(), elimination_block(1)], ids=str)
+def test_buchberger_matches_criterion_free_reference(order):
+    ring = PolyRing(("t", "x", "y", "z"), order=order)
+    rng = random.Random(24)
+    for _ in range(25):
+        gens = [random_near_homogeneous(ring, rng) for _ in range(rng.randint(2, 4))]
+        gb = buchberger(gens)
+        assert list(gb) == criterion_free_buchberger(gens)
+        table = reducer_table(gb)
+        for j in range(len(gb)):
+            for i in range(j):
+                assert reduce_by(s_polynomial(gb[i], gb[j]), table).is_zero
 
 
 def test_eliminate_semigroup_relations():

@@ -39,28 +39,81 @@ def test_term_invariants():
         assert all(c % ring.field.p for _, c in f.terms)
 
 
+def _grevlex_tuple_key(exps):
+    # degree first; ties broken so the last nonzero entry of a - b decides
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def tuple_key(order, exps):
+    """The exponent-tuple key each order encodes: the reference for the int keys."""
+    if order == grevlex():
+        return _grevlex_tuple_key(exps)
+    if order == lex():
+        return tuple(exps)
+    k = order.block
+    return (_grevlex_tuple_key(exps[:k]), _grevlex_tuple_key(exps[k:]))
+
+
+def random_exps(rng, nvars, top):
+    """An exponent vector, with 0 and top made likely."""
+    return tuple(rng.choice((0, top, rng.randint(0, top))) for _ in range(nvars))
+
+
 @pytest.mark.parametrize("order", [grevlex(), lex(), elimination_block(2)])
 def test_order_is_total_and_multiplicative(order):
     ring = PolyRing(("a", "b", "c", "d"), order=order)
     rng = random.Random(9)
     monos = [tuple(rng.randint(0, 5) for _ in range(4)) for _ in range(40)]
+
+    def key(exps):
+        return ring.key(ring.encode(exps))
+
     for a in monos:
         for b in monos:
-            ka, kb = order.key(a), order.key(b)
+            ka, kb = key(a), key(b)
             assert (ka < kb) + (ka == kb) + (ka > kb) == 1
             if ka < kb:
                 for c in monos:
                     ac = tuple(x + y for x, y in zip(a, c))
                     bc = tuple(x + y for x, y in zip(b, c))
-                    assert order.key(ac) < order.key(bc)
+                    assert key(ac) < key(bc)
     one = (0, 0, 0, 0)
     for a in monos:
         if a != one:
-            assert order.key(a) > order.key(one)
+            assert key(a) > key(one)
+
+
+@pytest.mark.parametrize(
+    "order", [grevlex(), lex(), elimination_block(1), elimination_block(2)], ids=str
+)
+def test_int_keys_match_tuple_keys(order):
+    rng = random.Random(31)
+    for nvars in range(2, 7):
+        ring = PolyRing(tuple(f"x{i}" for i in range(nvars)), order=order)
+        for _ in range(300):
+            a = random_exps(rng, nvars, 127)
+            b = random_exps(rng, nvars, 127) if rng.random() < 0.7 else a
+            ka, kb = ring.key(ring.encode(a)), ring.key(ring.encode(b))
+            ta, tb = tuple_key(order, a), tuple_key(order, b)
+            assert (ka < kb, ka == kb, ka > kb) == (ta < tb, ta == tb, ta > tb)
+        for _ in range(30):
+            f = random_poly(ring, rng, max_deg=6, max_terms=8)
+            by_tuples = sorted(f.mapping(), key=lambda m: tuple_key(order, ring.decode(m)), reverse=True)
+            assert [m for m, _ in f.terms] == by_tuples
+
+
+def test_lcm_is_bytewise_max():
+    rng = random.Random(32)
+    for nvars in range(1, 9):
+        ring = PolyRing(tuple(f"x{i}" for i in range(nvars)))
+        for _ in range(200):
+            a, b = random_exps(rng, nvars, 127), random_exps(rng, nvars, 127)
+            expected = tuple(max(x, y) for x, y in zip(a, b))
+            assert ring.decode(ring.lcm(ring.encode(a), ring.encode(b))) == expected
 
 
 def test_elimination_block_dominates():
-    order = elimination_block(2)
+    ring = PolyRing(("a", "b", "c", "d"), order=elimination_block(2))
     rng = random.Random(4)
     for _ in range(100):
         front = tuple(rng.randint(0, 4) for _ in range(2))
@@ -68,7 +121,7 @@ def test_elimination_block_dominates():
             continue
         involving = front + tuple(rng.randint(0, 4) for _ in range(2))
         pure_back = (0, 0) + tuple(rng.randint(0, 9) for _ in range(2))
-        assert order.key(involving) > order.key(pure_back)
+        assert ring.key(ring.encode(involving)) > ring.key(ring.encode(pure_back))
 
 
 def test_grevlex_convention():

@@ -97,3 +97,18 @@ def test_saturate_makes_one_elimination_per_generator(monkeypatch):
         A.saturate(B)
         k = len(B.generators)
         assert 1 <= len(calls) <= 2 * k - 1
+
+
+def test_rabinowitsch_elimination_forms_no_more_s_pairs(monkeypatch):
+    # (J_{d-1} + (1 - u*x)) under elim(1): with the chain criterion tested at
+    # pair-pop time, before the Gebauer-Moeller update, Buchberger formed 24
+    # S-polynomials on this input
+    case = build_case("noncm-curve", r=2)
+    rd = sample_reduction(case.ideal, GeneralSampler(1000, case.ambient.ring.field))
+    A = rd.Jd1
+    f = A._colon_generating_set(rd.I)[0]
+    assert str(f) == "x"
+    A.gb  # built before counting starts
+    calls = _count_calls(monkeypatch, (groebner,), "s_polynomial")
+    assert len(A._element_saturation(f)) == 2
+    assert len(calls) <= 24
